@@ -17,8 +17,74 @@ namespace nlfm::memo
 namespace
 {
 
-/** Weight rows per probe panel (block x live-slots kernel calls). */
-constexpr std::size_t kProbeNeuronBlock = 32;
+/**
+ * Weight rows per probe panel (block x live-slots kernel calls). The
+ * neuron split's block, so a run of split neurons holds whole probe
+ * panels.
+ */
+constexpr std::size_t kProbeNeuronBlock = nn::kNeuronBlock;
+
+std::uint64_t
+nowNs()
+{
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+}
+
+/**
+ * evaluateBnnBatch scratch that a whole gate call shares: built by the
+ * calling thread, then only read by the neuron ranges.
+ */
+struct BnnCallScratch
+{
+    std::vector<tensor::BitVector> inputs;
+    std::vector<const std::uint64_t *> inputWords;
+    std::vector<const float *> xRows;
+    std::vector<const float *> hRows;
+    std::vector<float *> outRows;
+    std::vector<std::uint32_t> slotEntry; ///< table column of each slot
+};
+
+/**
+ * evaluateBnnBatch scratch of one neuron range, written only by the
+ * thread that runs the range. Line-aligned so neighbouring ranges'
+ * counters never share a cache line.
+ */
+struct alignas(kCacheLineBytes) BnnRangeScratch
+{
+    std::vector<std::int32_t> ybPanel; ///< yb_t, probe block x slots
+    // One neuron's missing slots, as indices and as 8-slot bit blocks,
+    // their input rows and their dots.
+    std::vector<std::uint32_t> miss;
+    std::vector<std::uint8_t> missBlocks;
+    std::vector<const float *> missX;
+    std::vector<const float *> missH;
+    std::vector<float> forward;
+    std::vector<float> recurrent;
+    std::vector<std::uint64_t> hits; ///< reused neurons per live slot
+    std::uint64_t probeNs = 0;
+    std::uint64_t decideNs = 0;
+    std::uint64_t commitNs = 0;
+
+    /** Size the buffers for @p slots live slots and zero the counts. */
+    void
+    reset(std::size_t slots)
+    {
+        ybPanel.resize(kProbeNeuronBlock * slots);
+        miss.resize(slots);
+        missBlocks.resize((slots + 7) / 8);
+        missX.resize(slots);
+        missH.resize(slots);
+        forward.resize(slots);
+        recurrent.resize(slots);
+        hits.assign(slots, 0);
+        probeNs = 0;
+        decideNs = 0;
+        commitNs = 0;
+    }
+};
 
 #if defined(__x86_64__)
 
@@ -40,6 +106,7 @@ constexpr std::size_t kProbeNeuronBlock = 32;
  *
  * Explicit intrinsics behind a target attribute for the same reason as
  * tensor/bitpack_simd.cc: -march=native is off limits under gcc 12.
+ * Reuses are counted into @p hits, indexed by live slot position.
  *
  * @return the miss count
  */
@@ -47,7 +114,7 @@ __attribute__((target("avx512f,avx512dq,popcnt"))) std::size_t
 decideRowAvx512(const std::int32_t *yb_row, std::size_t slots,
                 std::size_t e0, const std::int32_t *bnn_row,
                 const std::uint8_t *valid_row, std::int64_t *draw_row,
-                const float *y_row, std::uint64_t *reused_row,
+                const float *y_row, std::uint64_t *hits,
                 float *const *out_rows, std::size_t n,
                 std::int64_t theta_raw, Q16 theta_q, std::uint32_t *miss,
                 std::uint8_t *miss_blocks)
@@ -113,7 +180,7 @@ decideRowAvx512(const std::int32_t *yb_row, std::size_t slots,
                 draw_row[e] += (d << 16) / std::abs(yb_t); // Eq. 13
             }
             out_rows[i + j][n] = y_row[e];
-            ++reused_row[e];
+            ++hits[i + j];
         }
     }
 
@@ -128,7 +195,7 @@ decideRowAvx512(const std::int32_t *yb_row, std::size_t slots,
         if (decision.reuse) {
             out_rows[i][n] = y_row[e];
             draw_row[e] = decision.deltaRaw;
-            ++reused_row[e];
+            ++hits[i];
         } else {
             miss[miss_count++] = static_cast<std::uint32_t>(i);
             miss_blocks[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
@@ -476,89 +543,63 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
     nn::BinarizedGate &bgate = bnn_->gate(instance.instanceId);
     const bool throttle = options_.throttle;
     const bool fixed_point = options_.fixedPoint;
-    const std::size_t stat_base = instance.instanceId * slotStride_;
     const std::size_t slots = rows.size();
 
     // Phase-time attribution (setPhaseSink): local accumulators per
-    // call, flushed to the shared sink once at the end, so concurrent
+    // range, flushed to the shared sink once at the end, so concurrent
     // chunk workers only contend on three atomic adds per gate call.
     // timed == false is the default and costs one branch per phase
     // boundary.
     GatePhaseTimes *const sink = phaseSink_;
     const bool timed = sink != nullptr;
-    std::uint64_t probe_ns = 0;
-    std::uint64_t decide_ns = 0;
-    std::uint64_t commit_ns = 0;
-    const auto now_ns = [] {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now().time_since_epoch())
-                .count());
-    };
-    std::uint64_t t_mark = timed ? now_ns() : 0;
+    const std::uint64_t t_call = timed ? nowNs() : 0;
+
+    // State shared by the gate call's neuron ranges, built here once and
+    // only read by them. thread_local so concurrent chunks never share
+    // it and buffers are reused across gate calls instead of
+    // reallocated. The ranges reach this thread's copy only through the
+    // locals below: a thread_local named inside the range body would
+    // resolve to the worker thread's own copy.
+    thread_local BnnCallScratch tls_call;
+    BnnCallScratch &call = tls_call;
 
     // One input binarization per live slot per timestep (the FMU input
-    // vector of each sequence). thread_local so concurrent chunks never
-    // share mutable predictor state and word buffers are reused across
-    // gate calls instead of reallocated; re-sized only when the gate
-    // width changes.
+    // vector of each sequence); re-sized only when the gate width
+    // changes.
     const std::size_t width = instance.xSize + instance.hSize;
-    thread_local std::vector<tensor::BitVector> inputs;
-    thread_local std::vector<const std::uint64_t *> input_words;
-    if (inputs.size() < slots)
-        inputs.resize(slots);
-    input_words.resize(slots);
+    if (call.inputs.size() < slots)
+        call.inputs.resize(slots);
+    call.inputWords.resize(slots);
     for (std::size_t i = 0; i < slots; ++i) {
-        if (inputs[i].size() != width)
-            inputs[i] = tensor::BitVector(width);
-        inputs[i].assignConcat(x.row(rows[i]), h.row(rows[i]));
-        input_words[i] = inputs[i].raw().data();
+        if (call.inputs[i].size() != width)
+            call.inputs[i] = tensor::BitVector(width);
+        call.inputs[i].assignConcat(x.row(rows[i]), h.row(rows[i]));
+        call.inputWords[i] = call.inputs[i].raw().data();
     }
-    if (timed) {
-        const std::uint64_t t = now_ns();
-        probe_ns += t - t_mark; // input binarization is probe work
-        t_mark = t;
-    }
+    // Input binarization is probe work.
+    std::uint64_t probe_ns = timed ? nowNs() - t_call : 0;
 
-    // thread_local scratch, one set per pool worker (see
-    // evaluateOracleBatch).
-    thread_local std::vector<const float *> x_rows;
-    thread_local std::vector<const float *> h_rows;
-    thread_local std::vector<float *> out_rows;
-    x_rows.resize(slots);
-    h_rows.resize(slots);
-    out_rows.resize(slots);
-    tensor::gatherRowPointers(x, rows, x_rows);
-    tensor::gatherRowPointers(h, rows, h_rows);
-    tensor::gatherRowPointers(preact, rows, out_rows);
+    call.xRows.resize(slots);
+    call.hRows.resize(slots);
+    call.outRows.resize(slots);
+    tensor::gatherRowPointers(x, rows, call.xRows);
+    tensor::gatherRowPointers(h, rows, call.hRows);
+    tensor::gatherRowPointers(preact, rows, call.outRows);
 
     // Table offsets of each live slot, hoisted out of the per-neuron
     // decision loop (the loop runs per neuron x slot x timestep; the
     // offsets only change per gate call).
-    thread_local std::vector<std::uint32_t> slot_entry;
-    slot_entry.resize(slots);
+    call.slotEntry.resize(slots);
     for (std::size_t i = 0; i < slots; ++i)
-        slot_entry[i] =
+        call.slotEntry[i] =
             static_cast<std::uint32_t>(slot_base + rows[i]);
 
-    // Per-neuron scratch: which slots missed (as indices and as per-
-    // 8-slot bit blocks), and their blocked dots.
-    thread_local std::vector<std::uint32_t> miss;
-    thread_local std::vector<std::uint8_t> miss_blocks;
-    thread_local std::vector<const float *> miss_x;
-    thread_local std::vector<const float *> miss_h;
-    thread_local std::vector<float> forward;
-    thread_local std::vector<float> recurrent;
-    miss.resize(slots);
-    miss_blocks.resize((slots + 7) / 8);
-    miss_x.reserve(slots);
-    miss_h.reserve(slots);
-    std::uint64_t *reused_row = slotReused_.data() + stat_base;
-
-    // Probe panel: all live slots of a block of neurons per kernel
-    // invocation, streaming the contiguous sign matrix block by block.
-    thread_local std::vector<std::int32_t> yb_panel;
-    yb_panel.resize(kProbeNeuronBlock * slots);
+    const std::span<const std::uint64_t *const> input_words =
+        call.inputWords;
+    const std::span<const float *const> x_rows = call.xRows;
+    const std::span<const float *const> h_rows = call.hRows;
+    float *const *const out_rows = call.outRows.data();
+    const std::span<const std::uint32_t> slot_entry = call.slotEntry;
 
     // The vector decision path covers the default configuration
     // (fixed-point CMP + throttling) over a dense slot range whose slots
@@ -601,149 +642,181 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
     constexpr bool vector_decide = false;
 #endif
 
-    for (std::size_t n0 = 0; n0 < instance.neurons;
-         n0 += kProbeNeuronBlock) {
-        const std::size_t block =
-            std::min(kProbeNeuronBlock, instance.neurons - n0);
-        if (timed)
-            t_mark = now_ns();
-        tensor::bnnDotPanel(bgate.weights(), n0, block, input_words,
-                            yb_panel);
-        if (timed) {
-            const std::uint64_t t = now_ns();
-            probe_ns += t - t_mark;
-        }
+    // Per-range scratch, sized here so the ranges only write buffer
+    // contents.
+    const std::size_t ranges = neuronRangeCount(instance, slots);
+    thread_local std::vector<BnnRangeScratch> tls_ranges;
+    if (tls_ranges.size() < ranges)
+        tls_ranges.resize(ranges);
+    const std::span<BnnRangeScratch> range_scratch(tls_ranges.data(),
+                                                   ranges);
+    for (BnnRangeScratch &scratch : range_scratch)
+        scratch.reset(slots);
 
-        for (std::size_t r = 0; r < block; ++r) {
-            const std::size_t n = n0 + r;
-            const std::int32_t *yb_row = yb_panel.data() + r * slots;
-            const std::size_t entry_base =
-                (instance.neuronBase + n) * slotStride_;
-            // Row-base pointers: the decision loop then indexes by the
-            // hoisted slot offsets only.
-            const std::int32_t *bnn_row = cachedBnn_.data() + entry_base;
-            const std::uint8_t *valid_row = valid_.data() + entry_base;
-            std::int64_t *draw_row =
-                fixed_point ? deltaRaw_.data() + entry_base : nullptr;
-            double *dfp_row =
-                fixed_point ? nullptr : deltaFp_.data() + entry_base;
-            const float *y_row = cachedOutput_.data() + entry_base;
-
-            // Phase 1: the cheap BNN probe decides per slot; hits are
-            // resolved immediately, misses are queued (the queued yb_t
-            // stays readable in yb_row).
-            std::size_t miss_count = 0;
+    forEachNeuronRange(instance, slots, [&](std::size_t range,
+                                            std::size_t begin,
+                                            std::size_t end) {
+        BnnRangeScratch &s = range_scratch[range];
+        std::uint64_t t_mark = 0;
+        // Probe panel: all live slots of a block of neurons per kernel
+        // invocation, streaming the contiguous sign matrix block by
+        // block.
+        for (std::size_t n0 = begin; n0 < end; n0 += kProbeNeuronBlock) {
+            const std::size_t block = std::min(kProbeNeuronBlock, end - n0);
             if (timed)
-                t_mark = now_ns();
-#if defined(__x86_64__)
-            if (vector_decide) {
-                // vector_decide implies every slot sits at the same
-                // theta, so the panel-wide value is exact here.
-                miss_count = decideRowAvx512(
-                    yb_row, slots, slot_entry[0], bnn_row, valid_row,
-                    draw_row, y_row, reused_row, out_rows.data(), n,
-                    panel_theta_raw, Q16::fromRaw(panel_theta_raw),
-                    miss.data(), miss_blocks.data());
-            } else
-#endif
-            for (std::size_t i = 0; i < slots; ++i) {
-                const std::uint32_t e = slot_entry[i];
-                const std::int32_t yb_t = yb_row[i];
+                t_mark = nowNs();
+            tensor::bnnDotPanel(bgate.weights(), n0, block, input_words,
+                                s.ybPanel);
+            if (timed)
+                s.probeNs += nowNs() - t_mark;
 
-                const std::int64_t prev_raw =
-                    fixed_point ? draw_row[e] : 0;
-                const double prev_fp = fixed_point ? 0.0 : dfp_row[e];
-                // Per-slot threshold: slots carry their own theta in
-                // serving mode (identical to the engine default in
-                // closed-batch mode).
-                const BnnDecision decision = bnnReuseDecision(
-                    yb_t, bnn_row[e], valid_row[e] != 0, prev_raw,
-                    prev_fp, throttle, fixed_point, slotThetaFp_[e],
-                    Q16::fromRaw(slotThetaRaw_[e]));
+            for (std::size_t r = 0; r < block; ++r) {
+                const std::size_t n = n0 + r;
+                const std::int32_t *yb_row = s.ybPanel.data() + r * slots;
+                const std::size_t entry_base =
+                    (instance.neuronBase + n) * slotStride_;
+                // Row-base pointers: the decision loop then indexes by
+                // the hoisted slot offsets only.
+                std::int32_t *bnn_row = cachedBnn_.data() + entry_base;
+                std::uint8_t *valid_row = valid_.data() + entry_base;
+                std::int64_t *draw_row =
+                    fixed_point ? deltaRaw_.data() + entry_base : nullptr;
+                double *dfp_row =
+                    fixed_point ? nullptr : deltaFp_.data() + entry_base;
+                float *y_row = cachedOutput_.data() + entry_base;
 
-                if (decision.reuse) {
-                    // Eq. 14 top: bypass the DPU, emit the cached
-                    // output.
-                    out_rows[i][n] = y_row[e];
-                    if (fixed_point)
-                        draw_row[e] = decision.deltaRaw;
-                    else
-                        dfp_row[e] = decision.deltaFp;
-                    ++reused_row[e];
-                } else {
-                    miss[miss_count++] = static_cast<std::uint32_t>(i);
-                }
-            }
-
-            // Phase 2 (Eqs. 15-17): full evaluation of the missing
-            // slots through the blocked kernel, one weight-row read for
-            // all of them; refresh the whole entry.
-            if (timed) {
-                const std::uint64_t t = now_ns();
-                decide_ns += t - t_mark;
-                t_mark = t;
-            }
-            if (miss_count == 0)
-                continue;
-
-            // When every slot missed (the common case at low theta),
-            // reuse the already-gathered full panel pointers and the
-            // masked-store commit; partial misses go through the
-            // compacted pointer list, which dotLanesRows evaluates in
-            // at most ceil(miss/8) weight streams (single-width tail
-            // blocks, no 4/2/1 cascade), so a 15-of-16 miss costs two
-            // streams, same as the full panel, minus the hit slot.
-            const bool full_panel = miss_count == slots;
-            const std::size_t m_count = full_panel ? slots : miss_count;
-            forward.resize(m_count);
-            recurrent.resize(m_count);
-            if (full_panel) {
-                tensor::dotLanesRows(params.wx.row(n),
-                                     {x_rows.data(), slots}, forward);
-                tensor::dotLanesRows(params.wh.row(n),
-                                     {h_rows.data(), slots}, recurrent);
-            } else {
-                miss_x.resize(miss_count);
-                miss_h.resize(miss_count);
-                for (std::size_t m = 0; m < miss_count; ++m) {
-                    miss_x[m] = x_rows[miss[m]];
-                    miss_h[m] = h_rows[miss[m]];
-                }
-                tensor::dotLanesRows(params.wx.row(n), miss_x, forward);
-                tensor::dotLanesRows(params.wh.row(n), miss_h,
-                                     recurrent);
-            }
-            std::int32_t *bnn_wrow = cachedBnn_.data() + entry_base;
-            std::uint8_t *valid_wrow = valid_.data() + entry_base;
-            float *y_wrow = cachedOutput_.data() + entry_base;
-#if defined(__x86_64__)
-            if (vector_decide && full_panel) {
-                commitRowAvx512(miss_blocks.data(), slots, slot_entry[0],
-                                forward.data(), recurrent.data(), yb_row,
-                                y_wrow, bnn_wrow, draw_row, valid_wrow,
-                                out_rows.data(), n);
+                // Phase 1: the cheap BNN probe decides per slot; hits
+                // are resolved immediately, misses are queued (the
+                // queued yb_t stays readable in yb_row).
+                std::size_t miss_count = 0;
                 if (timed)
-                    commit_ns += now_ns() - t_mark;
-                continue;
-            }
+                    t_mark = nowNs();
+#if defined(__x86_64__)
+                if (vector_decide) {
+                    // vector_decide implies every slot sits at the same
+                    // theta, so the panel-wide value is exact here.
+                    miss_count = decideRowAvx512(
+                        yb_row, slots, slot_entry[0], bnn_row, valid_row,
+                        draw_row, y_row, s.hits.data(), out_rows, n,
+                        panel_theta_raw, Q16::fromRaw(panel_theta_raw),
+                        s.miss.data(), s.missBlocks.data());
+                } else
 #endif
-            for (std::size_t m = 0; m < miss_count; ++m) {
-                const std::size_t i = miss[m];
-                const std::size_t d = full_panel ? i : m;
-                const std::uint32_t e = slot_entry[i];
-                const float y_t = forward[d] + recurrent[d];
-                out_rows[i][n] = y_t;
-                y_wrow[e] = y_t;
-                bnn_wrow[e] = yb_row[i];
-                if (fixed_point)
-                    draw_row[e] = 0;
-                else
-                    dfp_row[e] = 0.0;
-                valid_wrow[e] = 1;
+                for (std::size_t i = 0; i < slots; ++i) {
+                    const std::uint32_t e = slot_entry[i];
+                    const std::int32_t yb_t = yb_row[i];
+
+                    const std::int64_t prev_raw =
+                        fixed_point ? draw_row[e] : 0;
+                    const double prev_fp = fixed_point ? 0.0 : dfp_row[e];
+                    // Per-slot threshold: slots carry their own theta
+                    // in serving mode (identical to the engine default
+                    // in closed-batch mode).
+                    const BnnDecision decision = bnnReuseDecision(
+                        yb_t, bnn_row[e], valid_row[e] != 0, prev_raw,
+                        prev_fp, throttle, fixed_point, slotThetaFp_[e],
+                        Q16::fromRaw(slotThetaRaw_[e]));
+
+                    if (decision.reuse) {
+                        // Eq. 14 top: bypass the DPU, emit the cached
+                        // output.
+                        out_rows[i][n] = y_row[e];
+                        if (fixed_point)
+                            draw_row[e] = decision.deltaRaw;
+                        else
+                            dfp_row[e] = decision.deltaFp;
+                        ++s.hits[i];
+                    } else {
+                        s.miss[miss_count++] =
+                            static_cast<std::uint32_t>(i);
+                    }
+                }
+
+                // Phase 2 (Eqs. 15-17): full evaluation of the missing
+                // slots through the blocked kernel, one weight-row read
+                // for all of them; refresh the whole entry.
+                if (timed) {
+                    const std::uint64_t t = nowNs();
+                    s.decideNs += t - t_mark;
+                    t_mark = t;
+                }
+                if (miss_count == 0)
+                    continue;
+
+                // When every slot missed (the common case at low
+                // theta), reuse the already-gathered full panel
+                // pointers and the masked-store commit; partial misses
+                // go through the compacted pointer list, which
+                // dotLanesRows evaluates in at most ceil(miss/8) weight
+                // streams (single-width tail blocks, no 4/2/1 cascade),
+                // so a 15-of-16 miss costs two streams, same as the
+                // full panel, minus the hit slot.
+                const bool full_panel = miss_count == slots;
+                const std::span<float> forward(s.forward.data(),
+                                               miss_count);
+                const std::span<float> recurrent(s.recurrent.data(),
+                                                 miss_count);
+                if (full_panel) {
+                    tensor::dotLanesRows(params.wx.row(n), x_rows, forward);
+                    tensor::dotLanesRows(params.wh.row(n), h_rows,
+                                         recurrent);
+                } else {
+                    for (std::size_t m = 0; m < miss_count; ++m) {
+                        s.missX[m] = x_rows[s.miss[m]];
+                        s.missH[m] = h_rows[s.miss[m]];
+                    }
+                    tensor::dotLanesRows(params.wx.row(n),
+                                         {s.missX.data(), miss_count},
+                                         forward);
+                    tensor::dotLanesRows(params.wh.row(n),
+                                         {s.missH.data(), miss_count},
+                                         recurrent);
+                }
+#if defined(__x86_64__)
+                if (vector_decide && full_panel) {
+                    commitRowAvx512(s.missBlocks.data(), slots,
+                                    slot_entry[0], forward.data(),
+                                    recurrent.data(), yb_row, y_row,
+                                    bnn_row, draw_row, valid_row, out_rows,
+                                    n);
+                    if (timed)
+                        s.commitNs += nowNs() - t_mark;
+                    continue;
+                }
+#endif
+                for (std::size_t m = 0; m < miss_count; ++m) {
+                    const std::size_t i = s.miss[m];
+                    const std::size_t d = full_panel ? i : m;
+                    const std::uint32_t e = slot_entry[i];
+                    const float y_t = forward[d] + recurrent[d];
+                    out_rows[i][n] = y_t;
+                    y_row[e] = y_t;
+                    bnn_row[e] = yb_row[i];
+                    if (fixed_point)
+                        draw_row[e] = 0;
+                    else
+                        dfp_row[e] = 0.0;
+                    valid_row[e] = 1;
+                }
+                if (timed)
+                    s.commitNs += nowNs() - t_mark;
             }
-            if (timed)
-                commit_ns += now_ns() - t_mark;
         }
+    });
+
+    // Join. Every neuron of the gate counts into one reuse counter per
+    // slot, so each range counted its own hits; integer sums are the
+    // same in any order.
+    std::uint64_t *reused_row =
+        slotReused_.data() + instance.instanceId * slotStride_;
+    std::uint64_t decide_ns = 0;
+    std::uint64_t commit_ns = 0;
+    for (const BnnRangeScratch &s : range_scratch) {
+        for (std::size_t i = 0; i < slots; ++i)
+            reused_row[slot_entry[i]] += s.hits[i];
+        probe_ns += s.probeNs;
+        decide_ns += s.decideNs;
+        commit_ns += s.commitNs;
     }
     if (timed) {
         sink->probeNs.fetch_add(probe_ns, std::memory_order_relaxed);

@@ -37,15 +37,18 @@
 namespace nlfm::memo
 {
 
-/// Aggregate wall-time attribution of the BNN gate-evaluation phases,
-/// accumulated by BatchMemoEngine when a sink is attached
-/// (setPhaseSink). Probe covers input binarization + the bit-packed
-/// yb_t panel kernel; decide the per-neuron reuse decisions (Phase 1);
-/// commit the miss FMA panels + table refresh (Phase 2). Atomic
-/// because a serving tick's chunks may run on concurrent pool workers,
-/// each flushing its per-call totals once. Consumers (the serving
-/// tracer) difference the counters between reads — values are
-/// cumulative ns since attachment.
+/// Time attribution of the BNN gate-evaluation phases, accumulated by
+/// BatchMemoEngine when a sink is attached (setPhaseSink). Probe covers
+/// input binarization + the bit-packed yb_t panel kernel; decide the
+/// per-neuron reuse decisions (Phase 1); commit the miss FMA panels +
+/// table refresh (Phase 2). The totals are summed thread time, not
+/// wall time: a gate call whose neurons are split over a pool
+/// (BatchGateEvaluator::forEachNeuronRange) adds every range's time,
+/// so one call can add more than its wall duration. Atomic because a
+/// serving tick's chunks may run on concurrent pool workers, each
+/// flushing its per-call totals once. Consumers (the serving tracer)
+/// difference the counters between reads — values are cumulative ns
+/// since attachment.
 struct GatePhaseTimes
 {
     std::atomic<std::uint64_t> probeNs{0};
@@ -190,7 +193,10 @@ class BatchMemoEngine : public nn::BatchGateEvaluator
     /// choosing a smaller chunkSize puts several chunks inside one line
     /// of valid_ and accepts that sharing (the engine never learns the
     /// chunk geometry; fixing sub-line chunks would need a chunk-major
-    /// table layout).
+    /// table layout). A one-chunk batch splits each gate's neurons over
+    /// the pool instead, in blocks of whole table rows (the tables are
+    /// neuron-major), so two threads can share a line only where a block
+    /// boundary falls inside one. That costs speed, never correctness.
     std::size_t slotStride_ = 0;
 
     /// Slots whose theta differs from options_.theta. Non-zero disables

@@ -16,10 +16,38 @@
 #ifndef NLFM_NN_BATCH_EVALUATOR_HH
 #define NLFM_NN_BATCH_EVALUATOR_HH
 
+#include <functional>
+
 #include "nn/gate.hh"
+
+namespace nlfm
+{
+class ThreadPool;
+}
 
 namespace nlfm::nn
 {
+
+class RnnNetwork;
+
+/**
+ * Neurons per block of the within-gate neuron split: a gate call splits
+ * its neurons into runs of whole blocks. Equal to the BNN probe block
+ * of memo::BatchMemoEngine, so a run never cuts a probe panel in two.
+ */
+inline constexpr std::size_t kNeuronBlock = 32;
+
+/**
+ * Fewest multiply-adds (neurons x input width x live slots) a gate call
+ * needs before it splits its neurons over the pool. Below it, waking
+ * the pool costs more than the split saves: on 4 threads, one-chunk
+ * IMDB batches (128-neuron LSTM gates of width 192) ran at 0.5-0.96x
+ * of inline speed with 1-8 sequences, about even (0.82-1.23x) with
+ * 11-16 and 1.1-1.3x from 20 on. 2^18 is 11 of those sequences, 4 of
+ * RateRNN's (256 neurons, width 320) and one of DeepSpeech2's (800
+ * neurons, width 961).
+ */
+inline constexpr std::size_t kMinSplitWork = std::size_t{1} << 18;
 
 /**
  * Recurrent state of one cell for a whole batch, shaped by the cell's
@@ -42,14 +70,31 @@ struct BatchCellState
  * Strategy for computing one gate's pre-activations across a panel of
  * sequences.
  *
- * Calls may come from several worker threads concurrently, each covering
- * a disjoint set of sequence slots; implementations keyed by slot (the
- * batched memo engine) index their state with slot_base + local row and
- * must keep per-slot entries disjoint.
+ * Two concurrency patterns, chosen by RnnNetwork::forwardBatch:
+ *
+ *  - chunk-parallel (two or more chunks): calls come from several
+ *    worker threads concurrently, each covering a disjoint set of
+ *    sequence slots; implementations keyed by slot (the batched memo
+ *    engine) index their state with slot_base + local row and must
+ *    keep per-slot entries disjoint.
+ *  - neuron split (one chunk): calls come from one thread at a time,
+ *    and an implementation may split the call's neurons over the pool
+ *    that forwardBatch hands in (forEachNeuronRange). Every run of
+ *    neurons writes only its own preact columns and per-neuron state;
+ *    state shared by all neurons of a gate (a per-slot counter) must be
+ *    accumulated per range and combined after the join.
+ *
+ * The pool is never visible to implementations that do not call
+ * forEachNeuronRange: a decorator that wraps another evaluator runs it
+ * inline, which is correct, just not split.
  */
 class BatchGateEvaluator
 {
   public:
+    /** body(range, begin, end) of forEachNeuronRange. */
+    using NeuronRangeBody =
+        std::function<void(std::size_t, std::size_t, std::size_t)>;
+
     virtual ~BatchGateEvaluator() = default;
 
     /**
@@ -77,6 +122,52 @@ class BatchGateEvaluator
                                    std::span<const std::size_t> rows,
                                    std::size_t slot_base,
                                    tensor::Matrix &preact) = 0;
+
+  protected:
+    /**
+     * Number of ranges forEachNeuronRange spreads @p instance's neurons
+     * over for a call with @p slots live slots: one per thread of the
+     * neuron pool, but no more than there are kNeuronBlock blocks. 1
+     * when no pool is handed in, the gate has fewer than two blocks, or
+     * the call has less than kMinSplitWork multiply-adds.
+     */
+    std::size_t neuronRangeCount(const GateInstance &instance,
+                                 std::size_t slots) const;
+
+    /**
+     * Evaluate neurons [0, instance.neurons) through calls
+     * body(range, begin, end), each [begin, end) a run of whole
+     * kNeuronBlock blocks, every neuron in exactly one call. A range r
+     * in [0, neuronRangeCount(instance, slots)) is one thread's share:
+     * its calls run one after another on that thread, so per-range
+     * accumulators need no synchronization, while different ranges run
+     * concurrently on the neuron pool (range 0 on the calling thread).
+     * Which blocks a range gets is decided at run time and may be none;
+     * anything that depends on it must be an order-independent sum.
+     * Returns after all calls; with a single range, one direct inline
+     * call covers every neuron (no pool, no std::function).
+     */
+    template <typename Body>
+    void
+    forEachNeuronRange(const GateInstance &instance, std::size_t slots,
+                       Body &&body) const
+    {
+        const std::size_t ranges = neuronRangeCount(instance, slots);
+        if (ranges == 1)
+            body(std::size_t{0}, std::size_t{0}, instance.neurons);
+        else
+            splitNeurons(ranges, instance.neurons, std::ref(body));
+    }
+
+  private:
+    /** forEachNeuronRange with two or more ranges, on the neuron pool. */
+    void splitNeurons(std::size_t ranges, std::size_t neurons,
+                      const NeuronRangeBody &body) const;
+
+    // RnnNetwork::forwardBatch sets and clears the pool around its
+    // one-chunk schedule; nothing else does.
+    friend class RnnNetwork;
+    ThreadPool *neuronPool_ = nullptr;
 };
 
 /**

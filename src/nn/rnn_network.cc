@@ -137,17 +137,29 @@ RnnNetwork::forwardBatch(std::span<const Sequence> inputs,
             outputs[b] = current.unpackSequence(b - begin);
     };
 
-    if (options.threaded) {
-        ThreadPool &pool =
-            options.pool != nullptr ? *options.pool : ThreadPool::global();
-        pool.run(chunks, [&](std::size_t begin, std::size_t end) {
+    ThreadPool *pool = nullptr;
+    if (options.threaded)
+        pool = options.pool != nullptr ? options.pool : &ThreadPool::global();
+
+    if (pool != nullptr && chunks > 1) {
+        pool->run(chunks, [&](std::size_t begin, std::size_t end) {
             for (std::size_t chunk = begin; chunk < end; ++chunk)
                 run_chunk(chunk);
         });
-    } else {
-        for (std::size_t chunk = 0; chunk < chunks; ++chunk)
-            run_chunk(chunk);
+        return outputs;
     }
+
+    // One chunk (or unthreaded): chunks run in order on this thread.
+    // With a pool, every gate call may split its neurons over it
+    // instead; the guard withdraws the pool on every exit path.
+    struct NeuronPoolGuard
+    {
+        BatchGateEvaluator &eval;
+        ~NeuronPoolGuard() { eval.neuronPool_ = nullptr; }
+    } guard{eval};
+    eval.neuronPool_ = pool;
+    for (std::size_t chunk = 0; chunk < chunks; ++chunk)
+        run_chunk(chunk);
     return outputs;
 }
 

@@ -24,31 +24,29 @@ namespace nlfm::nn
  * Scheduling knobs of the batched forward path.
  *
  * The batch is split into fixed-size chunks of consecutive sequences;
- * each chunk runs the whole stack with panel kernels and the chunks are
- * distributed over the thread pool. Chunk boundaries depend only on
- * chunkSize — never on worker count — so results and statistics are
- * reproducible for any pool size.
+ * each chunk runs the whole stack with panel kernels. Chunk boundaries
+ * depend only on chunkSize — never on worker count — so results and
+ * statistics are reproducible for any pool size. The chunk count and
+ * the pool size pick the schedule (RnnNetwork::forwardBatch).
  */
 struct BatchForwardOptions
 {
-    /** Pool to schedule chunks on; null means ThreadPool::global(). */
+    /** Pool to schedule work on; null means ThreadPool::global(). */
     ThreadPool *pool = nullptr;
     /**
      * Sequences per chunk. Weight reads amortize across a chunk, and
      * the default is a cache line of the batch memo table's smallest
      * element (valid_, 1 byte): combined with the table's cache-line-
      * padded slot stride, concurrent chunk workers never write the same
-     * line of memo state. The flip side: a batch no larger than one
-     * chunk runs on a single worker. That is deliberate — for batches
-     * under 64 slots, any multi-chunk split necessarily puts several
-     * workers on one valid_ line — but callers who want thread-level
-     * parallelism at small batch sizes can set a smaller chunkSize and
-     * accept that sharing (outputs are identical for every chunk size).
+     * line of memo state. A batch of one chunk (at the default, up to
+     * 64 sequences) splits its gate calls' neurons over the pool
+     * instead, so it still uses every thread without putting two chunks
+     * on one valid_ line. Outputs are identical for every chunk size.
      */
     std::size_t chunkSize = 64;
     /**
-     * Schedule chunks on the thread pool; false runs every chunk on
-     * the calling thread (debugging / baselines), with identical
+     * Use the thread pool; false runs every chunk, and every gate call,
+     * on the calling thread (debugging / baselines), with identical
      * results either way.
      */
     bool threaded = true;
@@ -102,13 +100,28 @@ class RnnNetwork
     Sequence forwardBaseline(const Sequence &inputs);
 
     /**
-     * Run many sequences through the stack with panel kernels and
-     * sequence-chunk parallelism.
+     * Run many sequences through the stack with panel kernels on the
+     * thread pool.
      *
      * Calls eval.beginBatch(inputs.size()) once, then evaluates every
      * chunk through the batched seam. Output i is bitwise identical to
      * forward(inputs[i], serial counterpart of eval) for every chunk
      * size, worker count, and batch composition.
+     *
+     * Schedule: with two or more chunks, the chunks run in parallel on
+     * the pool. A one-chunk batch runs on the calling thread, and each
+     * gate call may split its neurons over the pool
+     * (BatchGateEvaluator::forEachNeuronRange). Batches of 2 to
+     * threads - 1 chunks stay chunk-parallel, because the split has not
+     * been measured against it there.
+     *
+     * Pool contract: with options.threaded and a pool of two or more
+     * threads, a call takes the pool's single job slot even for a
+     * one-chunk batch (a gate call of two or more kNeuronBlock blocks
+     * and at least kMinSplitWork multiply-adds splits). So it must not
+     * run inside a job of the same pool, nor concurrently with another
+     * run on it: ThreadPool::run asserts against both. Callers that are
+     * themselves pool jobs pass a different pool or threaded = false.
      */
     std::vector<Sequence> forwardBatch(
         std::span<const Sequence> inputs, BatchGateEvaluator &eval,

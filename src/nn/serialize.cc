@@ -45,25 +45,97 @@ class File
     File(const File &) = delete;
     File &operator=(const File &) = delete;
 
+    // Empty blocks (a gate without an auxiliary vector) pass a null
+    // data(); fwrite/fread must not see it, even for zero bytes.
     void
     write(const void *data, std::size_t bytes)
     {
-        if (std::fwrite(data, 1, bytes, handle_) != bytes)
+        if (bytes != 0 && std::fwrite(data, 1, bytes, handle_) != bytes)
             nlfm_fatal("short write to ", path_);
     }
 
     void
     read(void *data, std::size_t bytes)
     {
-        if (std::fread(data, 1, bytes, handle_) != bytes)
+        if (bytes != 0 && std::fread(data, 1, bytes, handle_) != bytes)
             nlfm_fatal("short read from ", path_,
                        " (truncated or corrupt file)");
+    }
+
+    /** Bytes between the read position and the end of the file. */
+    std::uint64_t
+    bytesLeft()
+    {
+        const long here = std::ftell(handle_);
+        if (here < 0 || std::fseek(handle_, 0, SEEK_END) != 0)
+            nlfm_fatal("cannot seek in ", path_);
+        const long end = std::ftell(handle_);
+        if (end < here || std::fseek(handle_, here, SEEK_SET) != 0)
+            nlfm_fatal("cannot seek in ", path_);
+        return static_cast<std::uint64_t>(end - here);
     }
 
   private:
     std::FILE *handle_;
     std::string path_;
 };
+
+/**
+ * Largest inputSize / hiddenSize and layer count a file may declare:
+ * far above every network the repo builds (the zoo's widest is 1024),
+ * and small enough to bound what a header can make the loader attempt.
+ */
+constexpr std::uint64_t kMaxDimension = std::uint64_t{1} << 20;
+constexpr std::uint64_t kMaxLayers = 1024;
+
+void
+checkDimension(const std::string &path, const char *field,
+               std::uint64_t value, std::uint64_t max)
+{
+    if (value == 0 || value > max)
+        nlfm_fatal(path, " is corrupt: header field ", field, " = ", value,
+                   " is out of range [1, ", max, "]");
+}
+
+/**
+ * Bytes of weight blocks saveNetwork writes for @p config: per gate
+ * instance, a count word plus the floats of wx, wh, bias and the
+ * auxiliary vector. False when the total overflows 64 bits.
+ */
+bool
+payloadBytes(const RnnConfig &config, std::uint64_t &total)
+{
+    const CellDescriptor &desc = cellDescriptor(config.cellType);
+    const std::uint64_t hidden = config.hiddenSize;
+    bool overflow = false;
+    total = 0;
+    const auto add_block = [&](std::uint64_t floats, std::uint64_t copies) {
+        std::uint64_t bytes = 0;
+        overflow |= __builtin_mul_overflow(floats, sizeof(float), &bytes);
+        overflow |= __builtin_add_overflow(bytes, sizeof(std::uint64_t),
+                                           &bytes);
+        overflow |= __builtin_mul_overflow(bytes, copies, &bytes);
+        overflow |= __builtin_add_overflow(total, bytes, &total);
+    };
+    for (std::size_t l = 0; l < config.layers; ++l) {
+        const std::uint64_t x_size = config.layerInputSize(l);
+        const std::uint64_t dirs = config.directions();
+        for (const GateSpec &gate : desc.gates) {
+            std::uint64_t wx = 0;
+            std::uint64_t wh = 0;
+            overflow |= __builtin_mul_overflow(hidden, x_size, &wx);
+            overflow |= __builtin_mul_overflow(hidden, hidden, &wh);
+            const bool aux =
+                gate.aux == GateAux::Leak ||
+                (gate.aux == GateAux::Peephole && config.peepholes);
+            add_block(wx, dirs);
+            add_block(wh, dirs);
+            add_block(hidden, dirs);
+            add_block(aux ? hidden : 0, dirs);
+        }
+    }
+    return !overflow;
+}
 
 void
 writeFloats(File &file, std::span<const float> values)
@@ -136,6 +208,11 @@ loadNetwork(const std::string &path)
         nlfm_fatal(path, " is corrupt: version 1 files predate cell "
                          "family ",
                    cellTypeName(static_cast<CellType>(header.cellType)));
+    // The header is untrusted: bound it, and hold it to the bytes the
+    // file actually has, before anything is allocated from it.
+    checkDimension(path, "inputSize", header.inputSize, kMaxDimension);
+    checkDimension(path, "hiddenSize", header.hiddenSize, kMaxDimension);
+    checkDimension(path, "layers", header.layers, kMaxLayers);
 
     RnnConfig config;
     config.cellType = static_cast<CellType>(header.cellType);
@@ -144,6 +221,16 @@ loadNetwork(const std::string &path)
     config.layers = header.layers;
     config.bidirectional = header.bidirectional != 0;
     config.peepholes = header.peepholes != 0;
+
+    std::uint64_t payload = 0;
+    if (!payloadBytes(config, payload))
+        nlfm_fatal(path, " is corrupt: its header declares a network "
+                         "too large to address");
+    const std::uint64_t left = file.bytesLeft();
+    if (payload != left)
+        nlfm_fatal(path, " is corrupt: its header declares ", payload,
+                   " bytes of weights, but ", left,
+                   " bytes follow it (file too short or too long)");
 
     auto network = std::make_unique<RnnNetwork>(config);
     for (const auto &inst : network->gateInstances()) {

@@ -65,12 +65,15 @@ Matrix::matvecTransposeAccum(std::span<const float> g,
 
 void
 Matrix::matvecPanel(const Matrix &inputs, std::span<const std::size_t> rows,
-                    Matrix &out, bool accumulate) const
+                    Matrix &out, bool accumulate, std::size_t neuron_begin,
+                    std::size_t neuron_end) const
 {
     nlfm_assert(inputs.cols() == cols_, "matvecPanel: input width ",
                 inputs.cols(), " != cols ", cols_);
     nlfm_assert(out.rows() == inputs.rows() && out.cols() == rows_,
                 "matvecPanel: out shape mismatch");
+    nlfm_assert(neuron_begin <= neuron_end && neuron_end <= rows_,
+                "matvecPanel: neuron range out of bounds");
 
     // Gather the live rows' base pointers once; the neuron loop then
     // streams each weight row across the whole panel via the blocked
@@ -84,7 +87,7 @@ Matrix::matvecPanel(const Matrix &inputs, std::span<const std::size_t> rows,
     products.resize(rows.size());
     gatherRowPointers(inputs, rows, input_rows);
     gatherRowPointers(out, rows, out_rows);
-    for (std::size_t r = 0; r < rows_; ++r) {
+    for (std::size_t r = neuron_begin; r < neuron_end; ++r) {
         dotLanesRows(row(r), input_rows, products);
         if (accumulate) {
             for (std::size_t i = 0; i < rows.size(); ++i)

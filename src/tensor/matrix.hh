@@ -68,7 +68,19 @@ class Matrix
      * the explicit-lane kernel the serial gate path (dotPair) uses.
      */
     void matvecPanel(const Matrix &inputs, std::span<const std::size_t> rows,
-                     Matrix &out, bool accumulate) const;
+                     Matrix &out, bool accumulate) const
+    {
+        matvecPanel(inputs, rows, out, accumulate, 0, rows_);
+    }
+
+    /**
+     * matvecPanel restricted to neurons [neuron_begin, neuron_end): only
+     * those columns of @p out are written, so disjoint neuron ranges can
+     * run concurrently on one output panel.
+     */
+    void matvecPanel(const Matrix &inputs, std::span<const std::size_t> rows,
+                     Matrix &out, bool accumulate, std::size_t neuron_begin,
+                     std::size_t neuron_end) const;
 
   private:
     std::size_t rows_ = 0;

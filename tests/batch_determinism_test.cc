@@ -1,12 +1,18 @@
 /**
  * @file
  * Determinism of the batched evaluation path under the thread pool:
- * 1 worker vs N workers must yield bitwise-identical outputs and
- * identical aggregated ReuseStats, for the exact and the memoized
- * evaluators alike.
+ * every schedule forwardBatch can pick (chunk-parallel, or a single
+ * chunk with each gate's neurons split over the pool) must yield
+ * bitwise-identical outputs and identical ReuseStats to a 1-thread
+ * pool, to threaded = false, and to the serial per-sequence path, for
+ * the exact and the memoized evaluators alike.
  */
 
 #include <gtest/gtest.h>
+
+#include <iterator>
+#include <memory>
+#include <string>
 
 #include "common/parallel.hh"
 #include "common/rng.hh"
@@ -19,16 +25,50 @@ namespace nlfm
 namespace
 {
 
+/** A network family of the sweep: all four cells, LSTM bidirectional. */
+struct Family
+{
+    nn::CellType type;
+    bool bidirectional;
+};
+
+constexpr Family kFamilies[] = {{nn::CellType::Lstm, true},
+                                {nn::CellType::Gru, false},
+                                {nn::CellType::RateRnn, false},
+                                {nn::CellType::Brc, false}};
+
+/** Below one neuron block, two blocks with a ragged tail, four blocks. */
+constexpr std::size_t kHiddenSizes[] = {8, 33, 100};
+
+constexpr std::size_t kInputSize = 128;
+
+/**
+ * 1, 2 and 4 chunks of the default 64-sequence chunk size: on the pools
+ * of 2, 4 and 7 threads below, the one-chunk batch splits each gate's
+ * neurons and the others run chunk-parallel, with fewer, as many and
+ * more chunks than threads.
+ */
+constexpr std::size_t kBatches[] = {64, 70, 200};
+constexpr std::size_t kLargestBatch = kBatches[std::size(kBatches) - 1];
+
+// The one-chunk batch is wide enough for the split: the first layer's
+// gate calls reach nn::kMinSplitWork at hidden 33 while at least 50
+// sequences are live, and drop below it (inline) as sequences end.
+static_assert(33 * (kInputSize + 33) * 50 >= nn::kMinSplitWork);
+static_assert(33 * (kInputSize + 33) * 45 < nn::kMinSplitWork);
+
+constexpr std::size_t kPoolThreads[] = {1, 2, 4, 7};
+
 nn::RnnConfig
-testConfig()
+testConfig(const Family &family, std::size_t hidden)
 {
     nn::RnnConfig config;
-    config.cellType = nn::CellType::Lstm;
-    config.inputSize = 6;
-    config.hiddenSize = 8;
+    config.cellType = family.type;
+    config.inputSize = kInputSize;
+    config.hiddenSize = hidden;
     config.layers = 2;
-    config.bidirectional = true;
-    config.peepholes = true;
+    config.bidirectional = family.bidirectional;
+    config.peepholes = family.type == nn::CellType::Lstm;
     return config;
 }
 
@@ -38,16 +78,51 @@ makeSequences(std::size_t batch, std::size_t width, std::uint64_t seed)
     Rng rng(seed);
     std::vector<nn::Sequence> sequences(batch);
     for (std::size_t b = 0; b < batch; ++b) {
-        sequences[b].assign(3 + (b * 7) % 11, std::vector<float>(width));
+        sequences[b].assign(2 + (b * 5) % 7, std::vector<float>(width));
         for (auto &frame : sequences[b])
             rng.fillNormal(frame, 0.0, 1.0);
     }
     return sequences;
 }
 
+/** One pool per kPoolThreads entry, shared by every case of a test. */
+std::vector<std::unique_ptr<ThreadPool>>
+makePools()
+{
+    std::vector<std::unique_ptr<ThreadPool>> pools;
+    for (const std::size_t threads : kPoolThreads)
+        pools.push_back(std::make_unique<ThreadPool>(threads));
+    return pools;
+}
+
+/** Every schedule a case runs: each pool, then threaded = false. */
+std::vector<nn::BatchForwardOptions>
+schedules(const std::vector<std::unique_ptr<ThreadPool>> &pools)
+{
+    std::vector<nn::BatchForwardOptions> all;
+    for (const auto &pool : pools) {
+        nn::BatchForwardOptions options;
+        options.pool = pool.get();
+        all.push_back(options);
+    }
+    nn::BatchForwardOptions unthreaded;
+    unthreaded.threaded = false;
+    all.push_back(unthreaded);
+    return all;
+}
+
+std::string
+describe(const nn::BatchForwardOptions &options, std::size_t batch)
+{
+    return "batch " + std::to_string(batch) + ", " +
+           (options.threaded
+                ? std::to_string(options.pool->threadCount()) + " threads"
+                : std::string("unthreaded"));
+}
+
 void
-expectIdentical(const std::vector<nn::Sequence> &expected,
-                const std::vector<nn::Sequence> &actual)
+expectIdentical(std::span<const nn::Sequence> expected,
+                std::span<const nn::Sequence> actual)
 {
     ASSERT_EQ(expected.size(), actual.size());
     for (std::size_t b = 0; b < expected.size(); ++b) {
@@ -61,71 +136,135 @@ expectIdentical(const std::vector<nn::Sequence> &expected,
 
 TEST(BatchDeterminismTest, DirectPathIdenticalAcrossWorkerCounts)
 {
-    const nn::RnnConfig config = testConfig();
-    nn::RnnNetwork network(config);
-    Rng rng(19);
-    nn::initNetwork(network, rng);
-    const auto sequences = makeSequences(13, config.inputSize, 91);
+    const auto pools = makePools();
+    for (const Family &family : kFamilies)
+        for (const std::size_t hidden : kHiddenSizes) {
+            const nn::RnnConfig config = testConfig(family, hidden);
+            SCOPED_TRACE(config.describe());
+            nn::RnnNetwork network(config);
+            Rng rng(19);
+            nn::initNetwork(network, rng);
+            const auto sequences =
+                makeSequences(kLargestBatch, config.inputSize, 91);
+            std::vector<nn::Sequence> reference;
+            for (const nn::Sequence &sequence : sequences)
+                reference.push_back(network.forwardBaseline(sequence));
 
-    ThreadPool single(1);
-    nn::BatchForwardOptions serial_options;
-    serial_options.pool = &single;
-    const auto reference =
-        network.forwardBatchBaseline(sequences, serial_options);
+            for (const std::size_t batch : kBatches)
+                for (const auto &options : schedules(pools)) {
+                    SCOPED_TRACE(describe(options, batch));
+                    const std::span<const nn::Sequence> inputs(
+                        sequences.data(), batch);
+                    expectIdentical(
+                        std::span<const nn::Sequence>(reference.data(),
+                                                      batch),
+                        network.forwardBatchBaseline(inputs, options));
+                }
+        }
+}
 
-    for (const std::size_t workers : {2u, 4u, 7u}) {
-        ThreadPool pool(workers);
-        nn::BatchForwardOptions options;
-        options.pool = &pool;
-        expectIdentical(reference,
-                        network.forwardBatchBaseline(sequences, options));
+/** A memoized evaluator configuration of the sweep. */
+struct MemoCase
+{
+    const char *name;
+    memo::PredictorKind predictor;
+    /// fixedPoint and throttle: on selects the AVX-512 decide and
+    /// masked commit (where the host has them), off the scalar loop.
+    bool fixedPointThrottle;
+    double theta;
+};
+
+constexpr MemoCase kMemoCases[] = {
+    {"oracle", memo::PredictorKind::Oracle, true, 0.1},
+    {"bnn fixed-point throttled", memo::PredictorKind::Bnn, true, 0.2},
+    {"bnn double unthrottled", memo::PredictorKind::Bnn, false, 0.2},
+};
+
+/** The serial MemoEngine's results on the first kLargestBatch inputs. */
+struct SerialReference
+{
+    std::vector<nn::Sequence> outputs;
+    std::vector<double> sequenceReuse;
+    /// Per-gate stats over the first kBatches[k] sequences.
+    std::vector<memo::ReuseStats> prefixStats;
+};
+
+SerialReference
+serialReference(nn::RnnNetwork &network, nn::BinarizedNetwork &bnn,
+                const memo::MemoOptions &options,
+                const std::vector<nn::Sequence> &sequences)
+{
+    SerialReference reference;
+    memo::MemoEngine engine(network, &bnn, options);
+    for (const nn::Sequence &sequence : sequences) {
+        const std::uint64_t reused = engine.stats().totalReused();
+        const std::uint64_t total = engine.stats().totalSlots();
+        reference.outputs.push_back(network.forward(sequence, engine));
+        reference.sequenceReuse.push_back(
+            static_cast<double>(engine.stats().totalReused() - reused) /
+            static_cast<double>(engine.stats().totalSlots() - total));
+        for (const std::size_t batch : kBatches)
+            if (reference.outputs.size() == batch)
+                reference.prefixStats.push_back(engine.stats());
     }
-
-    // The unthreaded fallback is the same computation too.
-    nn::BatchForwardOptions unthreaded;
-    unthreaded.threaded = false;
-    expectIdentical(reference,
-                    network.forwardBatchBaseline(sequences, unthreaded));
+    return reference;
 }
 
 TEST(BatchDeterminismTest, MemoizedPathIdenticalOutputsAndStats)
 {
-    const nn::RnnConfig config = testConfig();
-    nn::RnnNetwork network(config);
-    Rng rng(23);
-    nn::initNetwork(network, rng);
-    nn::BinarizedNetwork bnn(network);
-    const auto sequences = makeSequences(13, config.inputSize, 97);
+    const auto pools = makePools();
+    for (const Family &family : kFamilies)
+        for (const std::size_t hidden : kHiddenSizes) {
+            const nn::RnnConfig config = testConfig(family, hidden);
+            nn::RnnNetwork network(config);
+            Rng rng(23);
+            nn::initNetwork(network, rng);
+            nn::BinarizedNetwork bnn(network);
+            const auto sequences =
+                makeSequences(kLargestBatch, config.inputSize, 97);
+            const std::size_t gates = network.gateInstances().size();
 
-    memo::MemoOptions memo_options;
-    memo_options.predictor = memo::PredictorKind::Bnn;
-    memo_options.theta = 0.05;
+            for (const MemoCase &memo_case : kMemoCases) {
+                SCOPED_TRACE(config.describe() + ", " + memo_case.name);
+                memo::MemoOptions memo_options;
+                memo_options.predictor = memo_case.predictor;
+                memo_options.fixedPoint = memo_case.fixedPointThrottle;
+                memo_options.throttle = memo_case.fixedPointThrottle;
+                memo_options.theta = memo_case.theta;
+                const SerialReference reference =
+                    serialReference(network, bnn, memo_options, sequences);
 
-    ThreadPool single(1);
-    nn::BatchForwardOptions serial_options;
-    serial_options.pool = &single;
-    memo::BatchMemoEngine reference_engine(network, &bnn, memo_options);
-    const auto reference = network.forwardBatch(
-        sequences, reference_engine, serial_options);
-    const memo::ReuseStats reference_stats = reference_engine.stats();
+                for (std::size_t k = 0; k < std::size(kBatches); ++k)
+                    for (const auto &options : schedules(pools)) {
+                        const std::size_t batch = kBatches[k];
+                        SCOPED_TRACE(describe(options, batch));
+                        memo::BatchMemoEngine engine(network, &bnn,
+                                                     memo_options);
+                        expectIdentical(
+                            std::span<const nn::Sequence>(
+                                reference.outputs.data(), batch),
+                            network.forwardBatch(
+                                std::span<const nn::Sequence>(
+                                    sequences.data(), batch),
+                                engine, options));
 
-    for (const std::size_t workers : {2u, 4u, 7u}) {
-        ThreadPool pool(workers);
-        nn::BatchForwardOptions options;
-        options.pool = &pool;
-        memo::BatchMemoEngine engine(network, &bnn, memo_options);
-        expectIdentical(reference,
-                        network.forwardBatch(sequences, engine, options));
-
-        const memo::ReuseStats stats = engine.stats();
-        EXPECT_EQ(stats.totalSlots(), reference_stats.totalSlots());
-        EXPECT_EQ(stats.totalReused(), reference_stats.totalReused());
-        for (std::size_t gate = 0; gate < network.gateInstances().size();
-             ++gate)
-            EXPECT_EQ(stats.gateReuseFraction(gate),
-                      reference_stats.gateReuseFraction(gate))
-                << "gate " << gate << " with " << workers << " workers";
-    }
+                        const memo::ReuseStats stats = engine.stats();
+                        const memo::ReuseStats &expected =
+                            reference.prefixStats[k];
+                        EXPECT_EQ(stats.totalSlots(), expected.totalSlots());
+                        EXPECT_EQ(stats.totalReused(),
+                                  expected.totalReused());
+                        for (std::size_t gate = 0; gate < gates; ++gate)
+                            ASSERT_EQ(stats.gateReuseFraction(gate),
+                                      expected.gateReuseFraction(gate))
+                                << "gate " << gate;
+                        for (std::size_t slot = 0; slot < batch; ++slot)
+                            ASSERT_EQ(engine.slotReuseFraction(slot),
+                                      reference.sequenceReuse[slot])
+                                << "slot " << slot;
+                    }
+            }
+        }
 }
 
 } // namespace

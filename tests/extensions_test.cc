@@ -63,14 +63,18 @@ tempPath(const std::string &tag)
 
 TEST(SerializeTest, RoundTripPreservesOutputs)
 {
-    for (CellType type : {CellType::Lstm, CellType::Gru,
-                          CellType::RateRnn, CellType::Brc}) {
-        RnnNetwork network(smallConfig(type));
+    RnnConfig no_peepholes = smallConfig(CellType::Lstm);
+    no_peepholes.peepholes = false;
+    for (const RnnConfig &config :
+         {smallConfig(CellType::Lstm), no_peepholes,
+          smallConfig(CellType::Gru), smallConfig(CellType::RateRnn),
+          smallConfig(CellType::Brc)}) {
+        RnnNetwork network(config);
         Rng rng(3);
         nn::initNetwork(network, rng);
 
         const std::string path =
-            tempPath(nn::cellDescriptor(type).cliName);
+            tempPath(nn::cellDescriptor(config.cellType).cliName);
         nn::saveNetwork(network, path);
         const auto restored = nn::loadNetwork(path);
         std::remove(path.c_str());
@@ -112,6 +116,7 @@ TEST(SerializeTest, RoundTripPreservesEveryParameter)
 /** Byte offsets into the on-disk FileHeader (see nn/serialize.cc). */
 constexpr long kVersionOffset = 8;
 constexpr long kCellTypeOffset = 12;
+constexpr long kHiddenSizeOffset = 24;
 
 std::uint32_t
 readHeaderField(const std::string &path, long offset)
@@ -125,8 +130,9 @@ readHeaderField(const std::string &path, long offset)
     return value;
 }
 
+template <typename Field>
 void
-patchHeaderField(const std::string &path, long offset, std::uint32_t value)
+patchHeaderField(const std::string &path, long offset, Field value)
 {
     std::FILE *f = std::fopen(path.c_str(), "r+b");
     ASSERT_NE(f, nullptr);
@@ -164,7 +170,7 @@ TEST(SerializeTest, UnknownCellFamilyIdIsFatal)
     nn::initNetwork(network, rng);
     const std::string path = tempPath("unknown_cell");
     nn::saveNetwork(network, path);
-    patchHeaderField(path, kCellTypeOffset, 42);
+    patchHeaderField(path, kCellTypeOffset, std::uint32_t{42});
     EXPECT_DEATH(
         {
             auto loaded = nn::loadNetwork(path);
@@ -181,13 +187,53 @@ TEST(SerializeTest, VersionOneCannotHoldRegistryEraCells)
     nn::initNetwork(network, rng);
     const std::string path = tempPath("v1_raternn");
     nn::saveNetwork(network, path);
-    patchHeaderField(path, kVersionOffset, 1);
+    patchHeaderField(path, kVersionOffset, std::uint32_t{1});
     EXPECT_DEATH(
         {
             auto loaded = nn::loadNetwork(path);
             (void)loaded;
         },
         "corrupt.*RateRNN");
+    std::remove(path.c_str());
+}
+
+TEST(SerializeTest, OversizedHeaderDimensionIsFatal)
+{
+    // A hiddenSize of 2^40 would have the loader allocate petabytes of
+    // weights; the header bound rejects it before anything is built.
+    RnnNetwork network(smallConfig());
+    Rng rng(6);
+    nn::initNetwork(network, rng);
+    const std::string path = tempPath("huge_hidden");
+    nn::saveNetwork(network, path);
+    patchHeaderField(path, kHiddenSizeOffset, std::uint64_t{1} << 40);
+    EXPECT_DEATH(
+        {
+            auto loaded = nn::loadNetwork(path);
+            (void)loaded;
+        },
+        "hiddenSize = 1099511627776 is out of range");
+    std::remove(path.c_str());
+}
+
+TEST(SerializeTest, FileShorterThanItsHeaderPayloadIsFatal)
+{
+    // The header is valid, but the weights it declares do not fit in
+    // what is left of the file.
+    RnnNetwork network(smallConfig(CellType::Gru));
+    Rng rng(6);
+    nn::initNetwork(network, rng);
+    const std::string path = tempPath("truncated");
+    nn::saveNetwork(network, path);
+    std::filesystem::resize_file(path,
+                                 std::filesystem::file_size(path) - 5);
+    EXPECT_DEATH(
+        {
+            auto loaded = nn::loadNetwork(path);
+            (void)loaded;
+        },
+        "corrupt: its header declares [0-9]+ bytes of weights, but "
+        "[0-9]+ bytes follow it");
     std::remove(path.c_str());
 }
 
