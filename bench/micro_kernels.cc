@@ -3,7 +3,8 @@
  * google-benchmark microkernels backing the paper's cost claims:
  * the BNN dot product is orders of magnitude cheaper than the FP dot
  * product (§3.1.2), packed XNOR/popcount crushes the naive ±1 loop, and
- * the per-gate memoization probe adds little on top of a cell step.
+ * the per-gate memoization probe adds little on top of a cell step;
+ * plus the float GEMV panel kernels behind every full evaluation.
  */
 
 #include <benchmark/benchmark.h>
@@ -173,6 +174,70 @@ BM_BnnDotPanelAvx512(benchmark::State &state)
     benchBnnDotPanel(state, tensor::BnnIsa::Avx512);
 }
 BENCHMARK(BM_BnnDotPanelAvx512);
+
+/**
+ * The float GEMV panel of one gate: every neuron of a neurons x width
+ * weight matrix against a panel of input rows, in groups of
+ * tensor::kGroupNeurons, through one dotLanesGroup variant. Args:
+ * neurons, width, rows. Skips the AVX-512 variant where the host
+ * cannot run it.
+ */
+void
+benchPanel(benchmark::State &state,
+           tensor::detail::DotLanesGroupFn kernel, bool needs_avx512)
+{
+    if (needs_avx512 && !tensor::detail::cpuHasAvx512Group()) {
+        state.SkipWithError("AVX-512F/DQ group kernel not supported on "
+                            "this host or build");
+        return;
+    }
+    const auto neurons = static_cast<std::size_t>(state.range(0));
+    const auto width = static_cast<std::size_t>(state.range(1));
+    const auto rows = static_cast<std::size_t>(state.range(2));
+    const auto weights = randomVector(neurons * width, 400);
+    const auto inputs = randomVector(rows * width, 401);
+    std::vector<const float *> xs(rows);
+    for (std::size_t r = 0; r < rows; ++r)
+        xs[r] = inputs.data() + r * width;
+    std::vector<float> out(tensor::kGroupNeurons * rows);
+    for (auto _ : state) {
+        for (std::size_t n = 0; n < neurons; n += tensor::kGroupNeurons) {
+            const float *w[tensor::kGroupNeurons];
+            for (std::size_t k = 0; k < tensor::kGroupNeurons; ++k)
+                w[k] = weights.data() + (n + k) * width;
+            kernel(w, width, xs.data(), rows, out.data());
+        }
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    const double flops = 2.0 * static_cast<double>(neurons * width * rows);
+    state.counters["GFLOP"] = benchmark::Counter(
+        flops * static_cast<double>(state.iterations()) * 1e-9,
+        benchmark::Counter::kIsRate);
+}
+
+void
+BM_PanelPerNeuron(benchmark::State &state)
+{
+    benchPanel(state, tensor::detail::dotLanesGroupPerNeuron, false);
+}
+
+void
+BM_PanelGroupAvx512(benchmark::State &state)
+{
+    benchPanel(state, tensor::detail::dotLanesGroupAvx512, true);
+}
+
+// DeepSpeech2's recurrent gate at the 16-sequence closed batch, and
+// IMDB's recurrent gate at the 8-slot server.
+BENCHMARK(BM_PanelPerNeuron)
+    ->Args({800, 800, 16})
+    ->Args({128, 128, 8})
+    ->ArgNames({"neurons", "width", "rows"});
+BENCHMARK(BM_PanelGroupAvx512)
+    ->Args({800, 800, 16})
+    ->Args({128, 128, 8})
+    ->ArgNames({"neurons", "width", "rows"});
 
 void
 BM_InputBinarization(benchmark::State &state)

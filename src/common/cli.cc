@@ -19,7 +19,7 @@ CliParser::addString(const std::string &name,
                      const std::string &help)
 {
     options_[name] = Option{Kind::String, default_value, default_value,
-                            help};
+                            help, {}};
     order_.push_back(name);
 }
 
@@ -28,7 +28,7 @@ CliParser::addInt(const std::string &name, std::int64_t default_value,
                   const std::string &help)
 {
     const std::string text = std::to_string(default_value);
-    options_[name] = Option{Kind::Int, text, text, help};
+    options_[name] = Option{Kind::Int, text, text, help, {}};
     order_.push_back(name);
 }
 
@@ -37,7 +37,7 @@ CliParser::addDouble(const std::string &name, double default_value,
                      const std::string &help)
 {
     const std::string text = std::to_string(default_value);
-    options_[name] = Option{Kind::Double, text, text, help};
+    options_[name] = Option{Kind::Double, text, text, help, {}};
     order_.push_back(name);
 }
 
@@ -46,7 +46,7 @@ CliParser::addBool(const std::string &name, bool default_value,
                    const std::string &help)
 {
     const std::string text = default_value ? "true" : "false";
-    options_[name] = Option{Kind::Bool, text, text, help};
+    options_[name] = Option{Kind::Bool, text, text, help, {}};
     order_.push_back(name);
 }
 

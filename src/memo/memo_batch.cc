@@ -1,5 +1,7 @@
 #include "memo/memo_batch.hh"
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <limits>
 
@@ -55,14 +57,20 @@ struct BnnCallScratch
 struct alignas(kCacheLineBytes) BnnRangeScratch
 {
     std::vector<std::int32_t> ybPanel; ///< yb_t, probe block x slots
-    // One neuron's missing slots, as indices and as 8-slot bit blocks,
-    // their input rows and their dots.
+    // Each neuron of a group's missing slots, as indices and (from the
+    // vector decide only) as 8-slot bit blocks: neuron k's at k * slots
+    // and k * ceil(slots / 8).
     std::vector<std::uint32_t> miss;
     std::vector<std::uint8_t> missBlocks;
-    std::vector<const float *> missX;
-    std::vector<const float *> missH;
+    std::size_t missCount[tensor::kGroupNeurons] = {};
+    // The evaluated panel's input rows and dots (neuron-major after a
+    // grouped call), and each slot's column in a grouped call's union
+    // panel.
+    std::vector<const float *> panelX;
+    std::vector<const float *> panelH;
     std::vector<float> forward;
     std::vector<float> recurrent;
+    std::vector<std::uint32_t> column;
     std::vector<std::uint64_t> hits; ///< reused neurons per live slot
     std::uint64_t probeNs = 0;
     std::uint64_t decideNs = 0;
@@ -73,12 +81,13 @@ struct alignas(kCacheLineBytes) BnnRangeScratch
     reset(std::size_t slots)
     {
         ybPanel.resize(kProbeNeuronBlock * slots);
-        miss.resize(slots);
-        missBlocks.resize((slots + 7) / 8);
-        missX.resize(slots);
-        missH.resize(slots);
-        forward.resize(slots);
-        recurrent.resize(slots);
+        miss.resize(tensor::kGroupNeurons * slots);
+        missBlocks.resize(tensor::kGroupNeurons * ((slots + 7) / 8));
+        panelX.resize(slots);
+        panelH.resize(slots);
+        forward.resize(tensor::kGroupNeurons * slots);
+        recurrent.resize(tensor::kGroupNeurons * slots);
+        column.resize(slots);
         hits.assign(slots, 0);
         probeNs = 0;
         decideNs = 0;
@@ -87,6 +96,68 @@ struct alignas(kCacheLineBytes) BnnRangeScratch
 };
 
 #if defined(__x86_64__)
+
+/** Bit j: slot 8b + j is missing for some neuron of the group. */
+unsigned
+unionBlock(const BnnRangeScratch &s, std::size_t blocks, std::size_t b)
+{
+    unsigned bits = 0;
+    for (std::size_t k = 0; k < tensor::kGroupNeurons; ++k)
+        bits |= s.missBlocks[k * blocks + b];
+    return bits;
+}
+
+/**
+ * The grouped commit's rule, for a whole group of neurons decided by
+ * the vector decide (so each neuron's miss bit blocks are set), where
+ * dotLanesGroup is the wide kernel: one dotLanesGroup call per weight
+ * matrix over the union of their missing slots pays when it issues
+ * fewer FMA instructions than a per-neuron call per neuron. Per
+ * 8-column block, that is two 512-bit FMAs per union slot against one
+ * 256-bit FMA per missing (neuron, slot), @p misses in all.
+ *
+ * @return the union's size when the grouped call pays, else 0
+ */
+std::size_t
+groupUnion(const BnnRangeScratch &s, std::size_t slots, std::size_t misses)
+{
+    // The union holds at least the widest neuron's misses, so most
+    // groups that cannot pay are known without counting it.
+    const std::size_t widest =
+        *std::max_element(std::begin(s.missCount), std::end(s.missCount));
+    if (2 * widest >= misses)
+        return 0;
+    const std::size_t blocks = (slots + 7) / 8;
+    std::size_t panel = 0;
+    for (std::size_t b = 0; b < blocks; ++b)
+        panel +=
+            static_cast<std::size_t>(std::popcount(unionBlock(s, blocks, b)));
+    return 2 * panel < misses ? panel : 0;
+}
+
+/**
+ * A group's union panel: its missing slots, ascending, as the input
+ * rows s.panelX / s.panelH, and each one's position in it as
+ * s.column[slot].
+ */
+void
+buildUnionPanel(BnnRangeScratch &s, std::size_t slots,
+                std::span<const float *const> x_rows,
+                std::span<const float *const> h_rows)
+{
+    const std::size_t blocks = (slots + 7) / 8;
+    std::size_t panel = 0;
+    for (std::size_t b = 0; b < blocks; ++b)
+        for (unsigned bits = unionBlock(s, blocks, b); bits != 0;
+             bits &= bits - 1) {
+            const std::size_t i =
+                8 * b + static_cast<std::size_t>(std::countr_zero(bits));
+            s.column[i] = static_cast<std::uint32_t>(panel);
+            s.panelX[panel] = x_rows[i];
+            s.panelH[panel] = h_rows[i];
+            ++panel;
+        }
+}
 
 /**
  * AVX-512 form of the Phase-1 decision loop for the default engine
@@ -262,6 +333,98 @@ commitRowAvx512(const std::uint8_t *miss_blocks, std::size_t slots,
 }
 
 #endif // __x86_64__
+
+/**
+ * One neuron's table row: its entries for every slot of the engine.
+ * delta_b is Q16 in the fixed-point engine (draw) and double otherwise
+ * (dfp); the other pointer is null.
+ */
+struct TableRow
+{
+    std::int32_t *bnn;
+    std::uint8_t *valid;
+    std::int64_t *draw;
+    double *dfp;
+    float *y;
+};
+
+// The two commit helpers below are forced inline: once both commit
+// flows call them, gcc 12 keeps them out of line, and the calls made an
+// 8-slot IMDB serving step about 2 % slower.
+
+/**
+ * Commit neuron n's missing slots (Eqs. 15-17): emit y_t = forward +
+ * recurrent and refresh the whole entry. Miss m's dots sit at
+ * column[miss[m]], or at m where @p column is null. When every slot
+ * missed and the vector decide left @p miss_blocks, the dots are indexed
+ * by slot either way and the masked-store commit runs.
+ */
+__attribute__((always_inline)) inline void
+commitMisses(const BnnCallScratch &call, std::size_t n, const TableRow &row,
+             const std::int32_t *yb_row, const std::uint32_t *miss,
+             std::size_t miss_count, const std::uint8_t *miss_blocks,
+             const float *forward, const float *recurrent,
+             const std::uint32_t *column)
+{
+    const std::size_t slots = call.slotEntry.size();
+#if defined(__x86_64__)
+    if (miss_blocks != nullptr && miss_count == slots) {
+        commitRowAvx512(miss_blocks, slots, call.slotEntry[0], forward,
+                        recurrent, yb_row, row.y, row.bnn, row.draw,
+                        row.valid, call.outRows.data(), n);
+        return;
+    }
+#endif
+    for (std::size_t m = 0; m < miss_count; ++m) {
+        const std::size_t i = miss[m];
+        const std::size_t d = column != nullptr ? column[i] : m;
+        const std::uint32_t e = call.slotEntry[i];
+        const float y_t = forward[d] + recurrent[d];
+        call.outRows[i][n] = y_t;
+        row.y[e] = y_t;
+        row.bnn[e] = yb_row[i];
+        if (row.draw != nullptr)
+            row.draw[e] = 0;
+        else
+            row.dfp[e] = 0.0;
+        row.valid[e] = 1;
+    }
+}
+
+/**
+ * Phase 2 for one neuron with the per-neuron kernel: full evaluation of
+ * its missing slots, one weight-row read for all of them, then
+ * commitMisses. When every slot missed (the common case at low theta),
+ * the already-gathered full panel pointers; partial misses go through
+ * the compacted pointer list, which dotLanesRows evaluates in at most
+ * ceil(miss/8) weight streams (single-width tail blocks, no 4/2/1
+ * cascade), so a 15-of-16 miss costs two streams, same as the full
+ * panel, minus the hit slot.
+ */
+__attribute__((always_inline)) inline void
+commitNeuron(const BnnCallScratch &call, const nn::GateParams &params,
+             std::size_t n, const TableRow &row, const std::int32_t *yb_row,
+             const std::uint32_t *miss, std::size_t miss_count,
+             const std::uint8_t *miss_blocks, BnnRangeScratch &s)
+{
+    const std::span<float> forward(s.forward.data(), miss_count);
+    const std::span<float> recurrent(s.recurrent.data(), miss_count);
+    if (miss_count == call.slotEntry.size()) {
+        tensor::dotLanesRows(params.wx.row(n), call.xRows, forward);
+        tensor::dotLanesRows(params.wh.row(n), call.hRows, recurrent);
+    } else {
+        for (std::size_t m = 0; m < miss_count; ++m) {
+            s.panelX[m] = call.xRows[miss[m]];
+            s.panelH[m] = call.hRows[miss[m]];
+        }
+        tensor::dotLanesRows(params.wx.row(n), {s.panelX.data(), miss_count},
+                             forward);
+        tensor::dotLanesRows(params.wh.row(n), {s.panelH.data(), miss_count},
+                             recurrent);
+    }
+    commitMisses(call, n, row, yb_row, miss, miss_count, miss_blocks,
+                 forward.data(), recurrent.data(), nullptr);
+}
 
 } // namespace
 
@@ -653,37 +816,148 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
     for (BnnRangeScratch &scratch : range_scratch)
         scratch.reset(slots);
 
+    const auto table_row = [&](std::size_t n) {
+        const std::size_t base = (instance.neuronBase + n) * slotStride_;
+        return TableRow{cachedBnn_.data() + base, valid_.data() + base,
+                        fixed_point ? deltaRaw_.data() + base : nullptr,
+                        fixed_point ? nullptr : deltaFp_.data() + base,
+                        cachedOutput_.data() + base};
+    };
+
+    // Probe panel: all live slots of a block of neurons per kernel
+    // invocation, streaming the contiguous sign matrix block by block.
+    const auto probe = [&](BnnRangeScratch &s, std::size_t n0,
+                           std::size_t block) {
+        const std::uint64_t t_mark = timed ? nowNs() : 0;
+        tensor::bnnDotPanel(bgate.weights(), n0, block, input_words,
+                            s.ybPanel);
+        if (timed)
+            s.probeNs += nowNs() - t_mark;
+    };
+
+#if defined(__x86_64__)
+    // Decide four neurons before committing them, for the grouped commit
+    // (groupUnion), on vector-decide panels of more than one 8-slot row
+    // block where dotLanesGroup is the wide kernel. On a panel of at
+    // most 8 live slots -- every serving panel of an 8-slot server --
+    // one weight stream per matrix covers a neuron's misses, its few
+    // independent FMA chains leave the FMA ports idle and overlap with
+    // the next neuron's, so halving the FMA count saves little, and
+    // deciding four first costs more. In an in-process A/B against the
+    // parent's per-neuron flow (Sapphire Rapids VM), the grouped flow
+    // ran an IMDB step with 1-8 live slots up to 6 % slower at theta
+    // 0.51-1.0 and BRC's up to 8 % slower at 0.8, although 37-87 % of
+    // their groups passed the FMA rule; with 16 slots IMDB and BRC moved
+    // by -5 to +2 %, and DeepSpeech2 took 0.71-0.74x the time.
+    if (vector_decide && slots > 8 && tensor::dotLanesGroupIsWide()) {
+        const std::size_t slot_blocks = (slots + 7) / 8;
+        forEachNeuronRange(instance, slots, [&](std::size_t range,
+                                                std::size_t begin,
+                                                std::size_t end) {
+            BnnRangeScratch &s = range_scratch[range];
+            std::uint64_t t_mark = 0;
+            for (std::size_t n0 = begin; n0 < end;
+                 n0 += kProbeNeuronBlock) {
+                const std::size_t block =
+                    std::min(kProbeNeuronBlock, end - n0);
+                probe(s, n0, block);
+                // Each neuron's decision reads and writes only its own
+                // table entries and output column, so deciding a group
+                // before committing it changes no bit.
+                for (std::size_t g = 0; g < block;
+                     g += tensor::kGroupNeurons) {
+                    const std::size_t group =
+                        std::min(tensor::kGroupNeurons, block - g);
+                    const std::int32_t *yb_rows =
+                        s.ybPanel.data() + g * slots;
+                    if (timed)
+                        t_mark = nowNs();
+                    std::size_t misses = 0;
+                    for (std::size_t k = 0; k < group; ++k) {
+                        const std::size_t n = n0 + g + k;
+                        const TableRow row = table_row(n);
+                        s.missCount[k] = decideRowAvx512(
+                            yb_rows + k * slots, slots, slot_entry[0],
+                            row.bnn, row.valid, row.draw, row.y,
+                            s.hits.data(), out_rows, n, panel_theta_raw,
+                            Q16::fromRaw(panel_theta_raw),
+                            s.miss.data() + k * slots,
+                            s.missBlocks.data() + k * slot_blocks);
+                        misses += s.missCount[k];
+                    }
+                    if (timed) {
+                        const std::uint64_t t = nowNs();
+                        s.decideNs += t - t_mark;
+                        t_mark = t;
+                    }
+
+                    // One dotLanesGroup call per weight matrix where it
+                    // pays, its dots neuron-major and each neuron's
+                    // indexed by s.column; else each neuron on its own.
+                    const std::size_t panel =
+                        group == tensor::kGroupNeurons
+                            ? groupUnion(s, slots, misses)
+                            : 0;
+                    if (panel != 0) {
+                        buildUnionPanel(s, slots, x_rows, h_rows);
+                        const float *wx[tensor::kGroupNeurons];
+                        const float *wh[tensor::kGroupNeurons];
+                        for (std::size_t k = 0; k < tensor::kGroupNeurons;
+                             ++k) {
+                            wx[k] = params.wx.row(n0 + g + k).data();
+                            wh[k] = params.wh.row(n0 + g + k).data();
+                        }
+                        const std::size_t dots =
+                            tensor::kGroupNeurons * panel;
+                        tensor::dotLanesGroup(wx, instance.xSize,
+                                              {s.panelX.data(), panel},
+                                              {s.forward.data(), dots});
+                        tensor::dotLanesGroup(wh, instance.hSize,
+                                              {s.panelH.data(), panel},
+                                              {s.recurrent.data(), dots});
+                    }
+                    for (std::size_t k = 0; k < group; ++k) {
+                        const std::size_t miss_count = s.missCount[k];
+                        if (miss_count == 0)
+                            continue;
+                        const std::size_t n = n0 + g + k;
+                        const std::int32_t *yb_row = yb_rows + k * slots;
+                        const std::uint32_t *miss = s.miss.data() + k * slots;
+                        const std::uint8_t *miss_blocks =
+                            s.missBlocks.data() + k * slot_blocks;
+                        if (panel == 0)
+                            commitNeuron(call, params, n, table_row(n),
+                                         yb_row, miss, miss_count,
+                                         miss_blocks, s);
+                        else
+                            commitMisses(call, n, table_row(n), yb_row,
+                                         miss, miss_count, miss_blocks,
+                                         s.forward.data() + k * panel,
+                                         s.recurrent.data() + k * panel,
+                                         s.column.data());
+                    }
+                    if (timed)
+                        s.commitNs += nowNs() - t_mark;
+                }
+            }
+        });
+    } else
+#endif
     forEachNeuronRange(instance, slots, [&](std::size_t range,
                                             std::size_t begin,
                                             std::size_t end) {
         BnnRangeScratch &s = range_scratch[range];
         std::uint64_t t_mark = 0;
-        // Probe panel: all live slots of a block of neurons per kernel
-        // invocation, streaming the contiguous sign matrix block by
-        // block.
         for (std::size_t n0 = begin; n0 < end; n0 += kProbeNeuronBlock) {
             const std::size_t block = std::min(kProbeNeuronBlock, end - n0);
-            if (timed)
-                t_mark = nowNs();
-            tensor::bnnDotPanel(bgate.weights(), n0, block, input_words,
-                                s.ybPanel);
-            if (timed)
-                s.probeNs += nowNs() - t_mark;
+            probe(s, n0, block);
 
+            // One neuron at a time.
             for (std::size_t r = 0; r < block; ++r) {
                 const std::size_t n = n0 + r;
                 const std::int32_t *yb_row = s.ybPanel.data() + r * slots;
-                const std::size_t entry_base =
-                    (instance.neuronBase + n) * slotStride_;
-                // Row-base pointers: the decision loop then indexes by
-                // the hoisted slot offsets only.
-                std::int32_t *bnn_row = cachedBnn_.data() + entry_base;
-                std::uint8_t *valid_row = valid_.data() + entry_base;
-                std::int64_t *draw_row =
-                    fixed_point ? deltaRaw_.data() + entry_base : nullptr;
-                double *dfp_row =
-                    fixed_point ? nullptr : deltaFp_.data() + entry_base;
-                float *y_row = cachedOutput_.data() + entry_base;
+                const TableRow row = table_row(n);
+                const std::uint8_t *miss_blocks = nullptr;
 
                 // Phase 1: the cheap BNN probe decides per slot; hits
                 // are resolved immediately, misses are queued (the
@@ -696,10 +970,11 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
                     // vector_decide implies every slot sits at the same
                     // theta, so the panel-wide value is exact here.
                     miss_count = decideRowAvx512(
-                        yb_row, slots, slot_entry[0], bnn_row, valid_row,
-                        draw_row, y_row, s.hits.data(), out_rows, n,
+                        yb_row, slots, slot_entry[0], row.bnn, row.valid,
+                        row.draw, row.y, s.hits.data(), out_rows, n,
                         panel_theta_raw, Q16::fromRaw(panel_theta_raw),
                         s.miss.data(), s.missBlocks.data());
+                    miss_blocks = s.missBlocks.data();
                 } else
 #endif
                 for (std::size_t i = 0; i < slots; ++i) {
@@ -707,24 +982,24 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
                     const std::int32_t yb_t = yb_row[i];
 
                     const std::int64_t prev_raw =
-                        fixed_point ? draw_row[e] : 0;
-                    const double prev_fp = fixed_point ? 0.0 : dfp_row[e];
+                        fixed_point ? row.draw[e] : 0;
+                    const double prev_fp = fixed_point ? 0.0 : row.dfp[e];
                     // Per-slot threshold: slots carry their own theta
                     // in serving mode (identical to the engine default
                     // in closed-batch mode).
                     const BnnDecision decision = bnnReuseDecision(
-                        yb_t, bnn_row[e], valid_row[e] != 0, prev_raw,
+                        yb_t, row.bnn[e], row.valid[e] != 0, prev_raw,
                         prev_fp, throttle, fixed_point, slotThetaFp_[e],
                         Q16::fromRaw(slotThetaRaw_[e]));
 
                     if (decision.reuse) {
                         // Eq. 14 top: bypass the DPU, emit the cached
                         // output.
-                        out_rows[i][n] = y_row[e];
+                        out_rows[i][n] = row.y[e];
                         if (fixed_point)
-                            draw_row[e] = decision.deltaRaw;
+                            row.draw[e] = decision.deltaRaw;
                         else
-                            dfp_row[e] = decision.deltaFp;
+                            row.dfp[e] = decision.deltaFp;
                         ++s.hits[i];
                     } else {
                         s.miss[miss_count++] =
@@ -733,8 +1008,7 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
                 }
 
                 // Phase 2 (Eqs. 15-17): full evaluation of the missing
-                // slots through the blocked kernel, one weight-row read
-                // for all of them; refresh the whole entry.
+                // slots; refresh the whole entry.
                 if (timed) {
                     const std::uint64_t t = nowNs();
                     s.decideNs += t - t_mark;
@@ -742,62 +1016,8 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
                 }
                 if (miss_count == 0)
                     continue;
-
-                // When every slot missed (the common case at low
-                // theta), reuse the already-gathered full panel
-                // pointers and the masked-store commit; partial misses
-                // go through the compacted pointer list, which
-                // dotLanesRows evaluates in at most ceil(miss/8) weight
-                // streams (single-width tail blocks, no 4/2/1 cascade),
-                // so a 15-of-16 miss costs two streams, same as the
-                // full panel, minus the hit slot.
-                const bool full_panel = miss_count == slots;
-                const std::span<float> forward(s.forward.data(),
-                                               miss_count);
-                const std::span<float> recurrent(s.recurrent.data(),
-                                                 miss_count);
-                if (full_panel) {
-                    tensor::dotLanesRows(params.wx.row(n), x_rows, forward);
-                    tensor::dotLanesRows(params.wh.row(n), h_rows,
-                                         recurrent);
-                } else {
-                    for (std::size_t m = 0; m < miss_count; ++m) {
-                        s.missX[m] = x_rows[s.miss[m]];
-                        s.missH[m] = h_rows[s.miss[m]];
-                    }
-                    tensor::dotLanesRows(params.wx.row(n),
-                                         {s.missX.data(), miss_count},
-                                         forward);
-                    tensor::dotLanesRows(params.wh.row(n),
-                                         {s.missH.data(), miss_count},
-                                         recurrent);
-                }
-#if defined(__x86_64__)
-                if (vector_decide && full_panel) {
-                    commitRowAvx512(s.missBlocks.data(), slots,
-                                    slot_entry[0], forward.data(),
-                                    recurrent.data(), yb_row, y_row,
-                                    bnn_row, draw_row, valid_row, out_rows,
-                                    n);
-                    if (timed)
-                        s.commitNs += nowNs() - t_mark;
-                    continue;
-                }
-#endif
-                for (std::size_t m = 0; m < miss_count; ++m) {
-                    const std::size_t i = s.miss[m];
-                    const std::size_t d = full_panel ? i : m;
-                    const std::uint32_t e = slot_entry[i];
-                    const float y_t = forward[d] + recurrent[d];
-                    out_rows[i][n] = y_t;
-                    y_row[e] = y_t;
-                    bnn_row[e] = yb_row[i];
-                    if (fixed_point)
-                        draw_row[e] = 0;
-                    else
-                        dfp_row[e] = 0.0;
-                    valid_row[e] = 1;
-                }
+                commitNeuron(call, params, n, row, yb_row, s.miss.data(),
+                             miss_count, miss_blocks, s);
                 if (timed)
                     s.commitNs += nowNs() - t_mark;
             }

@@ -1,6 +1,9 @@
 #include "serve/admission.hh"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "common/logging.hh"
 
@@ -135,15 +138,23 @@ Admission::submit(std::size_t model, Request request)
 
     // Validate client data here, on the client's thread: a malformed
     // request fails its own future instead of reaching the driver (an
-    // assert there would take down every in-flight request).
-    for (const auto &frame : item.request.input) {
-        if (frame.size() != info.inputWidth) {
+    // assert there would take down every in-flight request). A NaN or
+    // inf frame would flow into the memo comparisons and the cached
+    // outputs of its slot.
+    for (std::size_t t = 0; t < item.request.input.size(); ++t) {
+        const auto &frame = item.request.input[t];
+        std::string error;
+        if (frame.size() != info.inputWidth)
+            error = "request frame width " + std::to_string(frame.size()) +
+                    " != " + info.inputLabel + " " +
+                    std::to_string(info.inputWidth);
+        else if (!std::all_of(frame.begin(), frame.end(),
+                              [](float v) { return std::isfinite(v); }))
+            error = "request frame " + std::to_string(t) +
+                    " holds a NaN or infinite value";
+        if (!error.empty()) {
             item.promise.set_exception(std::make_exception_ptr(
-                std::invalid_argument(
-                    config_.server + ": request frame width " +
-                    std::to_string(frame.size()) + " != " +
-                    info.inputLabel + " " +
-                    std::to_string(info.inputWidth))));
+                std::invalid_argument(config_.server + ": " + error)));
             return future;
         }
     }

@@ -76,26 +76,42 @@ Matrix::matvecPanel(const Matrix &inputs, std::span<const std::size_t> rows,
                 "matvecPanel: neuron range out of bounds");
 
     // Gather the live rows' base pointers once; the neuron loop then
-    // streams each weight row across the whole panel via the blocked
-    // kernel. thread_local scratch: this runs per gate per timestep, and
-    // each pool worker reuses its own buffers instead of reallocating.
+    // streams each group of weight rows across the whole panel via the
+    // grouped kernel, and the last neurons of a range that fill no group
+    // one at a time. thread_local scratch: this runs per gate per
+    // timestep, and each pool worker reuses its own buffers instead of
+    // reallocating.
     thread_local std::vector<const float *> input_rows;
     thread_local std::vector<float *> out_rows;
     thread_local std::vector<float> products;
-    input_rows.resize(rows.size());
-    out_rows.resize(rows.size());
-    products.resize(rows.size());
+    const std::size_t panel = rows.size();
+    input_rows.resize(panel);
+    out_rows.resize(panel);
+    products.resize(kGroupNeurons * panel);
     gatherRowPointers(inputs, rows, input_rows);
     gatherRowPointers(out, rows, out_rows);
-    for (std::size_t r = neuron_begin; r < neuron_end; ++r) {
-        dotLanesRows(row(r), input_rows, products);
+    // Write (or add) neuron r's dots, one per panel row, into out.
+    const auto store = [&](std::size_t r, const float *dots) {
         if (accumulate) {
-            for (std::size_t i = 0; i < rows.size(); ++i)
-                out_rows[i][r] += products[i];
+            for (std::size_t i = 0; i < panel; ++i)
+                out_rows[i][r] += dots[i];
         } else {
-            for (std::size_t i = 0; i < rows.size(); ++i)
-                out_rows[i][r] = products[i];
+            for (std::size_t i = 0; i < panel; ++i)
+                out_rows[i][r] = dots[i];
         }
+    };
+    std::size_t r = neuron_begin;
+    for (; r + kGroupNeurons <= neuron_end; r += kGroupNeurons) {
+        const float *const group[kGroupNeurons] = {
+            row(r).data(), row(r + 1).data(), row(r + 2).data(),
+            row(r + 3).data()};
+        dotLanesGroup(group, cols_, input_rows, products);
+        for (std::size_t k = 0; k < kGroupNeurons; ++k)
+            store(r + k, products.data() + k * panel);
+    }
+    for (; r < neuron_end; ++r) {
+        dotLanesRows(row(r), input_rows, {products.data(), panel});
+        store(r, products.data());
     }
 }
 

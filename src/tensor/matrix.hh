@@ -61,11 +61,12 @@ class Matrix
      *     out(b, r) = dot(row(r), inputs.row(b))      (!accumulate)
      *     out(b, r) += dot(row(r), inputs.row(b))     (accumulate)
      *
-     * inputs is [B x width], out is [B x neurons]. Neuron rows are the
-     * outer loop so one weight row is streamed across the whole panel —
-     * the weight-read amortization the batch path exists for. Per-row
-     * results are bitwise identical to dotLanes(row(r), inputs.row(b)),
-     * the explicit-lane kernel the serial gate path (dotPair) uses.
+     * inputs is [B x width], out is [B x neurons]. Groups of four
+     * neuron rows (dotLanesGroup) are the outer loop so each weight row
+     * is streamed once across the whole panel — the weight-read
+     * amortization the batch path exists for. Per-row results are
+     * bitwise identical to dotLanes(row(r), inputs.row(b)), the
+     * explicit-lane kernel the serial gate path (dotPair) uses.
      */
     void matvecPanel(const Matrix &inputs, std::span<const std::size_t> rows,
                      Matrix &out, bool accumulate) const

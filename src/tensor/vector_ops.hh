@@ -41,6 +41,27 @@ float dotLanes(std::span<const float> a, std::span<const float> b);
 void dotLanesRows(std::span<const float> w,
                   std::span<const float *const> xs, std::span<float> out);
 
+/** Neurons (weight rows) per dotLanesGroup call. */
+inline constexpr std::size_t kGroupNeurons = 4;
+
+/**
+ * Four-neuron GEMV panel kernel: out[k * xs.size() + r] =
+ * dotLanes({w[k], n}, {xs[r], n}) for every neuron k and row r, bit for
+ * bit. Where the CPU has AVX-512F/DQ (checked once, via cpuid) one pass
+ * evaluates all four neurons with two neurons per 512-bit register;
+ * elsewhere it runs dotLanesRows once per neuron.
+ */
+void dotLanesGroup(std::span<const float *const, kGroupNeurons> w,
+                   std::size_t n, std::span<const float *const> xs,
+                   std::span<float> out);
+
+/**
+ * True when dotLanesGroup runs the grouped AVX-512 pass, which issues
+ * half the FMA instructions of four per-neuron passes over the same
+ * rows; false when it is those four passes.
+ */
+bool dotLanesGroupIsWide();
+
 /**
  * Fused gate product dotLanes(a1, b1) + dotLanes(a2, b2) — the
  * per-neuron Wx[n]·x + Wh[n]·h that both the serial and the batched
@@ -79,6 +100,39 @@ float sum(std::span<const float> x);
  * the difference is 0 if b is also zero and +infinity otherwise.
  */
 double relativeDifference(double a, double b);
+
+namespace detail
+{
+
+/**
+ * Variant entry point of dotLanesGroup: out[k * rows + r] = dotLanes of
+ * weight row w[k] (n floats) against xs[r], for k < kGroupNeurons and
+ * r < rows.
+ */
+using DotLanesGroupFn = void (*)(const float *const *w, std::size_t n,
+                                 const float *const *xs, std::size_t rows,
+                                 float *out);
+
+/** dotLanesRows once per neuron (AVX2+FMA in x86-64-v3 builds). */
+void dotLanesGroupPerNeuron(const float *const *w, std::size_t n,
+                            const float *const *xs, std::size_t rows,
+                            float *out);
+
+/**
+ * One pass over four neurons with AVX-512F/DQ; call it only where
+ * cpuHasAvx512Group() holds.
+ */
+void dotLanesGroupAvx512(const float *const *w, std::size_t n,
+                         const float *const *xs, std::size_t rows,
+                         float *out);
+
+/**
+ * The CPU has AVX-512F/DQ and this build's dotLanes uses AVX2+FMA, the
+ * arithmetic dotLanesGroupAvx512 reproduces per lane.
+ */
+bool cpuHasAvx512Group();
+
+} // namespace detail
 
 } // namespace nlfm::tensor
 

@@ -174,10 +174,22 @@ struct MemoCase
     double theta;
 };
 
+/**
+ * The fixed-point throttled cases decide through the vector path, so
+ * where the host has the wide kernel, panels of more than 8 live slots
+ * decide their neurons in groups of four before committing them (the
+ * per-neuron flow takes smaller panels). At theta 0.2 nearly every slot
+ * misses and every group takes one grouped call. At theta 2 about half
+ * the neuron-steps reuse: the misses are sparse and partly overlap, and
+ * about a quarter of the groups take the grouped call over a union
+ * panel, the rest the per-neuron path.
+ */
 constexpr MemoCase kMemoCases[] = {
     {"oracle", memo::PredictorKind::Oracle, true, 0.1},
     {"bnn fixed-point throttled", memo::PredictorKind::Bnn, true, 0.2},
     {"bnn double unthrottled", memo::PredictorKind::Bnn, false, 0.2},
+    {"bnn fixed-point throttled, high theta", memo::PredictorKind::Bnn,
+     true, 2.0},
 };
 
 /** The serial MemoEngine's results on the first kLargestBatch inputs. */

@@ -124,40 +124,53 @@ TEST(MatvecPanelTest, MatchesSerialRowKernelBitwise)
 {
     // The panel kernel's contract is bitwise identity with the
     // explicit-lane row kernel (dotLanes) that the serial gate path
-    // evaluates per neuron — for every panel width, including the
-    // blocked 8/4/2/1 grouping paths.
+    // evaluates per neuron, in both modes: every width tail n % 8 plus
+    // DeepSpeech2's gate widths (161, 800, 961), neuron counts that fill
+    // whole four-neuron groups and leave each remainder, and panels that
+    // fill whole 8-row blocks and leave each remainder.
+    std::vector<std::size_t> widths;
+    for (std::size_t width = 1; width <= 17; ++width)
+        widths.push_back(width);
+    widths.insert(widths.end(), {161, 800, 961});
     Rng rng(3);
-    tensor::Matrix weights(7, 19); // odd width exercises the lane tail
-    for (float &value : weights.data())
-        value = static_cast<float>(rng.normal(0.0, 1.0));
+    for (const std::size_t width : widths)
+        for (std::size_t neurons = 1; neurons <= 9; ++neurons) {
+            tensor::Matrix weights(neurons, width);
+            for (float &value : weights.data())
+                value = static_cast<float>(rng.normal(0.0, 1.0));
+            for (std::size_t panel_rows = 1; panel_rows <= 17;
+                 ++panel_rows) {
+                tensor::Matrix inputs(panel_rows + 1, width);
+                for (float &value : inputs.data())
+                    value = static_cast<float>(rng.normal(0.0, 1.0));
 
-    for (const std::size_t panel_rows : {1u, 2u, 3u, 5u, 8u, 13u}) {
-        tensor::Matrix inputs(panel_rows + 1, 19);
-        for (float &value : inputs.data())
-            value = static_cast<float>(rng.normal(0.0, 1.0));
+                std::vector<std::size_t> rows(panel_rows);
+                for (std::size_t i = 0; i < panel_rows; ++i)
+                    rows[i] = i + 1; // row 0 inactive
+                tensor::Matrix out(panel_rows + 1, neurons);
+                out.at(0, 0) = 42.f; // must remain untouched
+                weights.matvecPanel(inputs, rows, out, false);
+                const tensor::Matrix once = out;
+                // Accumulate pass adds on top.
+                weights.matvecPanel(inputs, rows, out, true);
 
-        std::vector<std::size_t> rows(panel_rows);
-        for (std::size_t i = 0; i < panel_rows; ++i)
-            rows[i] = i + 1; // row 0 inactive
-        tensor::Matrix out(panel_rows + 1, 7);
-        out.at(0, 0) = 42.f; // must remain untouched
-        weights.matvecPanel(inputs, rows, out, false);
-
-        for (const std::size_t b : rows)
-            for (std::size_t r = 0; r < 7; ++r)
-                EXPECT_EQ(out.at(b, r),
-                          tensor::dotLanes(weights.row(r), inputs.row(b)));
-        EXPECT_EQ(out.at(0, 0), 42.f);
-
-        // Accumulate pass adds on top.
-        weights.matvecPanel(inputs, rows, out, true);
-        for (const std::size_t b : rows)
-            for (std::size_t r = 0; r < 7; ++r) {
-                const float once =
-                    tensor::dotLanes(weights.row(r), inputs.row(b));
-                EXPECT_EQ(out.at(b, r), once + once);
+                for (const std::size_t b : rows)
+                    for (std::size_t r = 0; r < neurons; ++r) {
+                        const float expected =
+                            tensor::dotLanes(weights.row(r), inputs.row(b));
+                        ASSERT_EQ(once.at(b, r), expected)
+                            << "width " << width << ", neurons " << neurons
+                            << ", rows " << panel_rows << ", row " << b
+                            << ", neuron " << r;
+                        ASSERT_EQ(out.at(b, r), expected + expected)
+                            << "accumulate: width " << width
+                            << ", neurons " << neurons << ", rows "
+                            << panel_rows << ", row " << b << ", neuron "
+                            << r;
+                    }
+                ASSERT_EQ(out.at(0, 0), 42.f);
             }
-    }
+        }
 }
 
 // ------------------------------------------- forwardBatch == forward

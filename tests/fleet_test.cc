@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.hh"
 #include "memo/memo_batch.hh"
 #include "memo/memo_engine.hh"
@@ -594,12 +596,21 @@ TEST(FleetTest, EdgeRequestsFailTheirOwnFuturesOnly)
     EXPECT_EQ(empty_response.steps, 0u);
     EXPECT_TRUE(empty_response.output.empty());
 
-    // Wrong frame width fails its own future at enqueue.
+    // Wrong frame width fails its own future at enqueue, and so does a
+    // frame holding a NaN or an infinity.
     serve::Request bad;
     bad.input.assign(
         3, std::vector<float>(lstm.config.inputSize + 2, 0.f));
     EXPECT_THROW(fleet.enqueue(0, std::move(bad)).get(),
                  std::invalid_argument);
+    for (const float non_finite : {std::numeric_limits<float>::quiet_NaN(),
+                                   std::numeric_limits<float>::infinity()}) {
+        serve::Request poisoned;
+        poisoned.input = lstm.sequences[1];
+        poisoned.input.front()[0] = non_finite;
+        EXPECT_THROW(fleet.enqueue(0, std::move(poisoned)).get(),
+                     std::invalid_argument);
+    }
 
     // Unknown model name / out-of-range id fail their own futures.
     serve::Request unrouted;

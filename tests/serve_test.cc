@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <thread>
 
 #include "common/rng.hh"
@@ -477,6 +478,16 @@ TEST(ServeTest, MalformedRequestFailsItsOwnFutureOnly)
     bad.input.assign(4, std::vector<float>(config.inputSize + 3, 0.f));
     auto bad_future = server.enqueue(std::move(bad));
     EXPECT_THROW(bad_future.get(), std::invalid_argument);
+
+    // A NaN or infinite value in any frame: rejected the same way.
+    for (const float non_finite : {std::numeric_limits<float>::quiet_NaN(),
+                                   -std::numeric_limits<float>::infinity()}) {
+        serve::Request poisoned;
+        poisoned.input = sequences[1];
+        poisoned.input.back()[1] = non_finite;
+        EXPECT_THROW(server.enqueue(std::move(poisoned)).get(),
+                     std::invalid_argument);
+    }
 
     serve::Request good;
     good.input = sequences[0];

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/rng.hh"
@@ -94,6 +96,86 @@ TEST(VectorOpsTest, RelativeDifferenceConventions)
     EXPECT_DOUBLE_EQ(relativeDifference(0.0, 0.0), 0.0);
     EXPECT_TRUE(std::isinf(relativeDifference(0.0, 1.0)));
     EXPECT_DOUBLE_EQ(relativeDifference(5.0, 5.0), 0.0);
+}
+
+/**
+ * A vector for the group-kernel test: normal values (mode 0), plus ±0,
+ * subnormals and products that round to subnormals (mode 1), plus one
+ * ±inf (mode 2) or one NaN (mode 3).
+ */
+std::vector<float>
+edgeVector(Rng &rng, std::size_t n, std::size_t mode)
+{
+    // The NaN x86 arithmetic itself produces (inf - inf, 0 * inf), so
+    // every NaN a result can hold has one bit pattern, whichever operand
+    // order the compiler picks for a commutative add.
+    const float nan = std::bit_cast<float>(0xffc00000u);
+    const float inf = std::numeric_limits<float>::infinity();
+    const float small[] = {0.f,     -0.f,
+                           std::numeric_limits<float>::denorm_min(),
+                           -1e-39f, 1e-20f, -1e-20f};
+    auto out = randomVector(rng, n);
+    if (mode == 0)
+        return out;
+    for (float &v : out)
+        if (rng.uniformInt(4) == 0)
+            v = small[rng.uniformInt(std::size(small))];
+    const std::size_t at = rng.uniformInt(n);
+    if (mode == 2)
+        out[at] = rng.uniformInt(2) == 0 ? inf : -inf;
+    else if (mode == 3)
+        out[at] = nan;
+    return out;
+}
+
+TEST(VectorOpsTest, GroupKernelVariantsMatchDotLanesBitwise)
+{
+    // Both dotLanesGroup variants, called directly, against dotLanes per
+    // (row, neuron): every width tail n % 8 and 8-row block remainder,
+    // on operands with ±0, ±inf, NaN and subnormals. Bit patterns are
+    // compared, because NaN != NaN.
+    Rng rng(5);
+    bool wide_checked = false;
+    for (const std::size_t n : {1u, 3u, 8u, 13u, 17u, 161u})
+        for (const std::size_t rows : {1u, 5u, 8u, 9u, 16u, 17u}) {
+            std::vector<std::vector<float>> w;
+            std::vector<std::vector<float>> x;
+            for (std::size_t k = 0; k < kGroupNeurons; ++k)
+                w.push_back(edgeVector(rng, n, k));
+            for (std::size_t r = 0; r < rows; ++r)
+                x.push_back(edgeVector(rng, n, (r + n) % 4));
+            const float *wp[kGroupNeurons];
+            for (std::size_t k = 0; k < kGroupNeurons; ++k)
+                wp[k] = w[k].data();
+            std::vector<const float *> xp;
+            for (const auto &row : x)
+                xp.push_back(row.data());
+
+            std::vector<float> expected(kGroupNeurons * rows);
+            for (std::size_t k = 0; k < kGroupNeurons; ++k)
+                for (std::size_t r = 0; r < rows; ++r)
+                    expected[k * rows + r] = dotLanes(w[k], x[r]);
+            const std::size_t bytes = expected.size() * sizeof(float);
+
+            std::vector<float> per_neuron(expected.size());
+            detail::dotLanesGroupPerNeuron(wp, n, xp.data(), rows,
+                                           per_neuron.data());
+            EXPECT_EQ(
+                std::memcmp(per_neuron.data(), expected.data(), bytes), 0)
+                << "per-neuron, n " << n << ", rows " << rows;
+
+            if (!detail::cpuHasAvx512Group())
+                continue;
+            std::vector<float> grouped(expected.size());
+            detail::dotLanesGroupAvx512(wp, n, xp.data(), rows,
+                                        grouped.data());
+            EXPECT_EQ(std::memcmp(grouped.data(), expected.data(), bytes), 0)
+                << "AVX-512, n " << n << ", rows " << rows;
+            wide_checked = true;
+        }
+    if (!wide_checked)
+        GTEST_SKIP() << "the AVX-512 group kernel needs AVX-512F/DQ and an "
+                        "AVX2+FMA build; only the per-neuron variant ran";
 }
 
 // -------------------------------------------------------------- matrix
