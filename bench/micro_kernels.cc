@@ -4,14 +4,22 @@
  * the BNN dot product is orders of magnitude cheaper than the FP dot
  * product (§3.1.2), packed XNOR/popcount crushes the naive ±1 loop, and
  * the per-gate memoization probe adds little on top of a cell step;
- * plus the float GEMV panel kernels behind every full evaluation.
+ * plus the float GEMV panel kernels behind every full evaluation, and
+ * what bounds splitting a cell's elementwise stage over the pool: the
+ * activations it evaluates against the cost of one pool dispatch.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <thread>
+
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "memo/memo_engine.hh"
 #include "metrics/edit_distance.hh"
+#include "nn/activations.hh"
 #include "nn/init.hh"
 #include "tensor/bitpack.hh"
 #include "tensor/vector_ops.hh"
@@ -238,6 +246,68 @@ BENCHMARK(BM_PanelGroupAvx512)
     ->Args({800, 800, 16})
     ->Args({128, 128, 8})
     ->ArgNames({"neurons", "width", "rows"});
+
+/**
+ * One activation over DeepSpeech2's cell panel (16 sequences x 800
+ * neurons) of standard-normal inputs, timed per element. A cell's
+ * elementwise stage is a few of these per neuron-step.
+ */
+template <typename Activation>
+void
+BM_Activation(benchmark::State &state, Activation activation)
+{
+    const auto in = randomVector(16 * 800, 500);
+    std::vector<float> out(in.size());
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < in.size(); ++i)
+            out[i] = activation(in[i]);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    // Elements per second, inverted: printed as a time, e.g. "24ns".
+    state.counters["per_element"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * in.size()),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_Activation, sigmoid,
+                  [](float x) { return nn::sigmoid(x); });
+BENCHMARK_CAPTURE(BM_Activation, tanhAct,
+                  [](float x) { return nn::tanhAct(x); });
+
+/**
+ * One ThreadPool::run of empty chunks on a 4-thread pool: the dispatch
+ * cost every split gate call and elementwise loop pays. Arg: idle gap
+ * before each run in us (0: back to back; 300: the workers have gone to
+ * sleep). Reports the mean and p50_us of the runs, timed by hand so the
+ * gap is not counted.
+ */
+void
+BM_ThreadPoolRun(benchmark::State &state)
+{
+    using Clock = std::chrono::steady_clock;
+    const auto idle = std::chrono::microseconds(state.range(0));
+    ThreadPool pool(4);
+    const std::function<void(std::size_t, std::size_t)> empty =
+        [](std::size_t, std::size_t) {};
+    std::vector<double> us;
+    for (auto _ : state) {
+        if (idle.count() > 0)
+            std::this_thread::sleep_for(idle);
+        const auto start = Clock::now();
+        pool.run(pool.threadCount(), empty);
+        const std::chrono::duration<double> took = Clock::now() - start;
+        state.SetIterationTime(took.count());
+        us.push_back(took.count() * 1e6);
+    }
+    std::nth_element(us.begin(), us.begin() + us.size() / 2, us.end());
+    state.counters["p50_us"] = us[us.size() / 2];
+}
+BENCHMARK(BM_ThreadPoolRun)
+    ->Arg(0)
+    ->Arg(300)
+    ->ArgName("idle_us")
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void
 BM_InputBinarization(benchmark::State &state)

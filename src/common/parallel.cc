@@ -1,6 +1,7 @@
 #include "common/parallel.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -52,9 +53,16 @@ ThreadPool::workerLoop()
             if (job_.nextChunk >= job_.ranges.size())
                 seen_epoch = job_.epoch;
         }
-        (*body)(range.first, range.second);
+        std::exception_ptr error;
+        try {
+            (*body)(range.first, range.second);
+        } catch (...) {
+            error = std::current_exception();
+        }
         {
             std::lock_guard<std::mutex> lock(mutex_);
+            if (error && !job_.error)
+                job_.error = std::move(error);
             if (--job_.pending == 0)
                 jobDone_.notify_all();
         }
@@ -95,8 +103,9 @@ ThreadPool::run(std::size_t count,
                 "already in flight on this pool (nested run from a "
                 "worker body, or concurrent run from another thread). "
                 "Use a separate/private pool instead.");
-    // Cleared via RAII so a throwing body cannot leave the flag set
-    // and poison every later run() with a false 'not reentrant' abort.
+    // Cleared via RAII on every exit, the rethrow of a chunk's exception
+    // below included. That rethrow comes only after every chunk has
+    // finished, so a cleared flag always finds the workers idle.
     struct RunGuard
     {
         std::atomic<bool> &flag;
@@ -114,11 +123,24 @@ ThreadPool::run(std::size_t count,
         job_.epoch = ++epoch_;
     }
     wakeWorkers_.notify_all();
-    body(first.first, first.second);
+    // Every chunk finishes before run() returns or throws: the workers'
+    // chunks use @p body and whatever it refers to in the caller's frame.
+    // The first exception of any chunk is rethrown after the join.
+    try {
+        body(first.first, first.second);
+    } catch (...) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!job_.error)
+            job_.error = std::current_exception();
+    }
+    std::exception_ptr error;
     {
         std::unique_lock<std::mutex> lock(mutex_);
         jobDone_.wait(lock, [&] { return job_.pending == 0; });
+        error = std::exchange(job_.error, nullptr);
     }
+    if (error)
+        std::rethrow_exception(error);
 }
 
 ThreadPool &

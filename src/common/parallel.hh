@@ -16,6 +16,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -44,6 +45,9 @@ class ThreadPool
      * chunk per thread; blocks until all chunks complete. The calling
      * thread runs chunk 0.
      *
+     * If chunks throw, run() still waits for every chunk, then rethrows
+     * the first exception on the calling thread; the pool stays usable.
+     *
      * NOT REENTRANT: there is one Job slot per pool, so a second
      * multi-chunk run — nested inside @p body, or issued concurrently
      * from another thread — would overwrite the job the workers are
@@ -69,6 +73,8 @@ class ThreadPool
         std::size_t nextChunk = 0;
         std::size_t pending = 0;
         std::uint64_t epoch = 0;
+        /// First exception thrown by any chunk of the job.
+        std::exception_ptr error;
     };
 
     void workerLoop();

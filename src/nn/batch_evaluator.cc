@@ -23,6 +23,15 @@ BatchGateEvaluator::neuronRangeCount(const GateInstance &instance,
         1, std::min(neuronPool_->threadCount(), blocks));
 }
 
+std::size_t
+BatchGateEvaluator::cellRangeCount(const GateInstance &instance,
+                                   std::size_t slots) const
+{
+    return instance.neurons * slots < kMinSplitElements
+               ? 1
+               : neuronRangeCount(instance, slots);
+}
+
 void
 BatchGateEvaluator::splitNeurons(std::size_t ranges, std::size_t neurons,
                                  const NeuronRangeBody &body) const

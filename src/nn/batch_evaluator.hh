@@ -40,14 +40,29 @@ inline constexpr std::size_t kNeuronBlock = 32;
 /**
  * Fewest multiply-adds (neurons x input width x live slots) a gate call
  * needs before it splits its neurons over the pool. Below it, waking
- * the pool costs more than the split saves: on 4 threads, one-chunk
- * IMDB batches (128-neuron LSTM gates of width 192) ran at 0.5-0.96x
- * of inline speed with 1-8 sequences, about even (0.82-1.23x) with
- * 11-16 and 1.1-1.3x from 20 on. 2^18 is 11 of those sequences, 4 of
- * RateRNN's (256 neurons, width 320) and one of DeepSpeech2's (800
- * neurons, width 961).
+ * the pool costs more than the split saves: on 4 threads, the gate
+ * split alone ran one-chunk IMDB batches (128-neuron LSTM gates of
+ * width 192) at 0.5-0.96x of inline speed with 1-8 sequences. 2^18 is
+ * 11 of those sequences, 4 of RateRNN's (256 neurons, width 320) and
+ * one of DeepSpeech2's (800 neurons, width 961). From there on, with
+ * the cells' loops splitting too, the split pass ran faster than the
+ * inline one, or about as fast: IMDB 1.3-1.4x at 11-20 sequences, BRC
+ * 0.9-1.3x at 11-16, RateRNN 1.1x at 4, DeepSpeech2 3.2x at 1.
  */
 inline constexpr std::size_t kMinSplitWork = std::size_t{1} << 18;
+
+/**
+ * Fewest neuron-slots (neurons x live slots) a cell's elementwise loop
+ * needs before it splits with the gate calls of its step
+ * (BatchGateEvaluator::forEachCellRange). A loop evaluates one to five
+ * activations per neuron-slot (5 ns for sigmoid, 28 ns for tanh), and
+ * one pool dispatch costs 15-40 us (bench_micro_kernels'
+ * BM_Activation, BM_ThreadPoolRun). Split without this floor, one-chunk
+ * passes ran at 0.95x of the gate-only split for RateRNN at 2
+ * sequences (512 neuron-slots per loop) and 0.96x for DeepSpeech2 at 1
+ * (800); RateRNN at 4 (1024) gains 1.16x.
+ */
+inline constexpr std::size_t kMinSplitElements = 1024;
 
 /**
  * Recurrent state of one cell for a whole batch, shaped by the cell's
@@ -82,11 +97,17 @@ struct BatchCellState
  *    that forwardBatch hands in (forEachNeuronRange). Every run of
  *    neurons writes only its own preact columns and per-neuron state;
  *    state shared by all neurons of a gate (a per-slot counter) must be
- *    accumulated per range and combined after the join.
+ *    accumulated per range and combined after the join. The cells'
+ *    elementwise loops between and after the gate calls
+ *    (RnnCell::stepBatch) split the same way, through the evaluator
+ *    they are handed (forEachCellRange), each range writing only its
+ *    own state columns.
  *
  * The pool is never visible to implementations that do not call
  * forEachNeuronRange: a decorator that wraps another evaluator runs it
- * inline, which is correct, just not split.
+ * inline, which is correct, just not split. Handed to forwardBatch, the
+ * decorator itself holds the pool, so the cells' elementwise loops
+ * split while the gate calls it wraps run inline.
  */
 class BatchGateEvaluator
 {
@@ -123,6 +144,22 @@ class BatchGateEvaluator
                                    std::size_t slot_base,
                                    tensor::Matrix &preact) = 0;
 
+    /**
+     * forEachNeuronRange for one elementwise loop of a cell's stepBatch
+     * over @p slots live rows, given one of the cell's gate instances.
+     * All gates of a cell share neurons, xSize and hSize, so the loop
+     * splits only when the gate calls of its step split, and then only
+     * if it has at least kMinSplitElements neuron-slots. The body must
+     * read and write only columns [begin, end) of its rows.
+     */
+    template <typename Body>
+    void
+    forEachCellRange(const GateInstance &instance, std::size_t slots,
+                     Body &&body) const
+    {
+        runRanges(cellRangeCount(instance, slots), instance.neurons, body);
+    }
+
   protected:
     /**
      * Number of ranges forEachNeuronRange spreads @p instance's neurons
@@ -152,15 +189,30 @@ class BatchGateEvaluator
     forEachNeuronRange(const GateInstance &instance, std::size_t slots,
                        Body &&body) const
     {
-        const std::size_t ranges = neuronRangeCount(instance, slots);
-        if (ranges == 1)
-            body(std::size_t{0}, std::size_t{0}, instance.neurons);
-        else
-            splitNeurons(ranges, instance.neurons, std::ref(body));
+        runRanges(neuronRangeCount(instance, slots), instance.neurons,
+                  body);
     }
 
   private:
-    /** forEachNeuronRange with two or more ranges, on the neuron pool. */
+    /**
+     * neuronRangeCount for a cell loop: 1 below kMinSplitElements
+     * neuron-slots.
+     */
+    std::size_t cellRangeCount(const GateInstance &instance,
+                               std::size_t slots) const;
+
+    /** Neurons [0, neurons) over @p ranges ranges, as forEachNeuronRange. */
+    template <typename Body>
+    void
+    runRanges(std::size_t ranges, std::size_t neurons, Body &body) const
+    {
+        if (ranges == 1)
+            body(std::size_t{0}, std::size_t{0}, neurons);
+        else
+            splitNeurons(ranges, neurons, std::ref(body));
+    }
+
+    /** runRanges with two or more ranges, on the neuron pool. */
     void splitNeurons(std::size_t ranges, std::size_t neurons,
                       const NeuronRangeBody &body) const;
 

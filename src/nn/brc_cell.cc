@@ -87,34 +87,43 @@ BrcCell::stepBatch(const tensor::Matrix &x, std::span<const std::size_t> rows,
                            state.preact[BrcUpdate]);
 
     // a_t modulates the recurrent input of the candidate (same
-    // expressions as step(), per live row).
-    for (const std::size_t b : rows) {
-        const auto pre_a = state.preact[BrcMod].row(b);
-        const auto h_row = state.h.row(b);
-        const auto mod_row = state.scratch.row(b);
-        for (std::size_t n = 0; n < hidden_; ++n) {
-            const float a_t =
-                1.f + tanhAct(pre_a[n] + gates_[BrcMod].bias[n]);
-            mod_row[n] = a_t * h_row[n];
-        }
-    }
+    // expressions as step(), per live row). Both elementwise loops
+    // update only their range's columns, whichever thread runs it.
+    eval.forEachCellRange(
+        instances_[BrcMod], rows.size(),
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+            for (const std::size_t b : rows) {
+                const auto pre_a = state.preact[BrcMod].row(b);
+                const auto h_row = state.h.row(b);
+                const auto mod_row = state.scratch.row(b);
+                for (std::size_t n = begin; n < end; ++n) {
+                    const float a_t =
+                        1.f + tanhAct(pre_a[n] + gates_[BrcMod].bias[n]);
+                    mod_row[n] = a_t * h_row[n];
+                }
+            }
+        });
 
     eval.evaluateGateBatch(instances_[BrcCandidate], gates_[BrcCandidate],
                            x, state.scratch, rows, slot_base,
                            state.preact[BrcCandidate]);
 
-    for (const std::size_t b : rows) {
-        const auto pre_c = state.preact[BrcUpdate].row(b);
-        const auto pre_g = state.preact[BrcCandidate].row(b);
-        const auto h_row = state.h.row(b);
-        for (std::size_t n = 0; n < hidden_; ++n) {
-            const float c_t =
-                sigmoid(pre_c[n] + gates_[BrcUpdate].bias[n]);
-            const float g_t = tanhAct(pre_g[n] +
-                                      gates_[BrcCandidate].bias[n]);
-            h_row[n] = c_t * h_row[n] + (1.f - c_t) * g_t;
-        }
-    }
+    eval.forEachCellRange(
+        instances_[BrcCandidate], rows.size(),
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+            for (const std::size_t b : rows) {
+                const auto pre_c = state.preact[BrcUpdate].row(b);
+                const auto pre_g = state.preact[BrcCandidate].row(b);
+                const auto h_row = state.h.row(b);
+                for (std::size_t n = begin; n < end; ++n) {
+                    const float c_t =
+                        sigmoid(pre_c[n] + gates_[BrcUpdate].bias[n]);
+                    const float g_t = tanhAct(pre_g[n] +
+                                              gates_[BrcCandidate].bias[n]);
+                    h_row[n] = c_t * h_row[n] + (1.f - c_t) * g_t;
+                }
+            }
+        });
 }
 
 } // namespace nlfm::nn

@@ -87,34 +87,43 @@ GruCell::stepBatch(const tensor::Matrix &x, std::span<const std::size_t> rows,
                            state.h, rows, slot_base, state.preact[GruReset]);
 
     // r_t gates the recurrent input of the candidate (same expressions as
-    // step(), per live row).
-    for (const std::size_t b : rows) {
-        const auto pre_r = state.preact[GruReset].row(b);
-        const auto h_row = state.h.row(b);
-        const auto reset_row = state.scratch.row(b);
-        for (std::size_t n = 0; n < hidden_; ++n) {
-            const float r_t =
-                sigmoid(pre_r[n] + gates_[GruReset].bias[n]);
-            reset_row[n] = r_t * h_row[n];
-        }
-    }
+    // step(), per live row). Both elementwise loops update only their
+    // range's columns, whichever thread runs it.
+    eval.forEachCellRange(
+        instances_[GruReset], rows.size(),
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+            for (const std::size_t b : rows) {
+                const auto pre_r = state.preact[GruReset].row(b);
+                const auto h_row = state.h.row(b);
+                const auto reset_row = state.scratch.row(b);
+                for (std::size_t n = begin; n < end; ++n) {
+                    const float r_t =
+                        sigmoid(pre_r[n] + gates_[GruReset].bias[n]);
+                    reset_row[n] = r_t * h_row[n];
+                }
+            }
+        });
 
     eval.evaluateGateBatch(instances_[GruCandidate], gates_[GruCandidate],
                            x, state.scratch, rows, slot_base,
                            state.preact[GruCandidate]);
 
-    for (const std::size_t b : rows) {
-        const auto pre_z = state.preact[GruUpdate].row(b);
-        const auto pre_g = state.preact[GruCandidate].row(b);
-        const auto h_row = state.h.row(b);
-        for (std::size_t n = 0; n < hidden_; ++n) {
-            const float z_t =
-                sigmoid(pre_z[n] + gates_[GruUpdate].bias[n]);
-            const float g_t = tanhAct(pre_g[n] +
-                                      gates_[GruCandidate].bias[n]);
-            h_row[n] = (1.f - z_t) * h_row[n] + z_t * g_t;
-        }
-    }
+    eval.forEachCellRange(
+        instances_[GruCandidate], rows.size(),
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+            for (const std::size_t b : rows) {
+                const auto pre_z = state.preact[GruUpdate].row(b);
+                const auto pre_g = state.preact[GruCandidate].row(b);
+                const auto h_row = state.h.row(b);
+                for (std::size_t n = begin; n < end; ++n) {
+                    const float z_t =
+                        sigmoid(pre_z[n] + gates_[GruUpdate].bias[n]);
+                    const float g_t = tanhAct(pre_g[n] +
+                                              gates_[GruCandidate].bias[n]);
+                    h_row[n] = (1.f - z_t) * h_row[n] + z_t * g_t;
+                }
+            }
+        });
 }
 
 } // namespace nlfm::nn

@@ -140,39 +140,44 @@ LstmCell::stepBatch(const tensor::Matrix &x,
 
     // Elementwise update per live row: the same scalar expressions as
     // step(), so each sequence's state stays bitwise identical to its
-    // serial evolution.
-    for (const std::size_t b : rows) {
-        const auto pre_i = state.preact[LstmInput].row(b);
-        const auto pre_f = state.preact[LstmForget].row(b);
-        const auto pre_g = state.preact[LstmUpdate].row(b);
-        const auto pre_o = state.preact[LstmOutput].row(b);
-        const auto h_row = state.h.row(b);
-        const auto c_row = state.extra[0].row(b);
-        for (std::size_t n = 0; n < hidden_; ++n) {
-            const float c_prev = c_row[n];
+    // serial evolution. Each range of neurons updates only its own
+    // columns, whichever thread runs it.
+    eval.forEachCellRange(
+        instances_[LstmInput], rows.size(),
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+            for (const std::size_t b : rows) {
+                const auto pre_i = state.preact[LstmInput].row(b);
+                const auto pre_f = state.preact[LstmForget].row(b);
+                const auto pre_g = state.preact[LstmUpdate].row(b);
+                const auto pre_o = state.preact[LstmOutput].row(b);
+                const auto h_row = state.h.row(b);
+                const auto c_row = state.extra[0].row(b);
+                for (std::size_t n = begin; n < end; ++n) {
+                    const float c_prev = c_row[n];
 
-            float zi = pre_i[n] + gates_[LstmInput].bias[n];
-            float zf = pre_f[n] + gates_[LstmForget].bias[n];
-            if (peepholes_) {
-                zi += gates_[LstmInput].peephole[n] * c_prev;
-                zf += gates_[LstmForget].peephole[n] * c_prev;
+                    float zi = pre_i[n] + gates_[LstmInput].bias[n];
+                    float zf = pre_f[n] + gates_[LstmForget].bias[n];
+                    if (peepholes_) {
+                        zi += gates_[LstmInput].peephole[n] * c_prev;
+                        zf += gates_[LstmForget].peephole[n] * c_prev;
+                    }
+                    const float i_t = sigmoid(zi);
+                    const float f_t = sigmoid(zf);
+                    const float g_t =
+                        tanhAct(pre_g[n] + gates_[LstmUpdate].bias[n]);
+
+                    const float c_t = f_t * c_prev + i_t * g_t;
+
+                    float zo = pre_o[n] + gates_[LstmOutput].bias[n];
+                    if (peepholes_)
+                        zo += gates_[LstmOutput].peephole[n] * c_t;
+                    const float o_t = sigmoid(zo);
+
+                    c_row[n] = c_t;
+                    h_row[n] = o_t * tanhAct(c_t);
+                }
             }
-            const float i_t = sigmoid(zi);
-            const float f_t = sigmoid(zf);
-            const float g_t =
-                tanhAct(pre_g[n] + gates_[LstmUpdate].bias[n]);
-
-            const float c_t = f_t * c_prev + i_t * g_t;
-
-            float zo = pre_o[n] + gates_[LstmOutput].bias[n];
-            if (peepholes_)
-                zo += gates_[LstmOutput].peephole[n] * c_t;
-            const float o_t = sigmoid(zo);
-
-            c_row[n] = c_t;
-            h_row[n] = o_t * tanhAct(c_t);
-        }
-    }
+        });
 }
 
 } // namespace nlfm::nn

@@ -78,7 +78,10 @@ class RnnCell
      * Advance one timestep for every row in @p rows of the panel @p x.
      * Rows not listed (finished sequences) keep their state untouched.
      * Per row the update is bitwise identical to step() on that
-     * sequence alone.
+     * sequence alone. Every elementwise loop runs through
+     * eval.forEachCellRange with one of the cell's gate instances, so
+     * in the one-chunk schedule it splits over the pool with the gate
+     * calls around it; a range reads and writes only its own columns.
      */
     virtual void stepBatch(const tensor::Matrix &x,
                            std::span<const std::size_t> rows,

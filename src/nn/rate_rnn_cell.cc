@@ -83,15 +83,21 @@ RateRnnCell::stepBatch(const tensor::Matrix &x,
     eval.evaluateGateBatch(instances_[RateDrive], gate, x, state.h, rows,
                            slot_base, state.preact[RateDrive]);
 
-    for (const std::size_t b : rows) {
-        const auto pre = state.preact[RateDrive].row(b);
-        const auto h_row = state.h.row(b);
-        for (std::size_t n = 0; n < hidden_; ++n) {
-            const float d_t = tanhAct(pre[n] + gate.bias[n]);
-            const float a = gate.peephole[n];
-            h_row[n] = (1.f - a) * h_row[n] + a * d_t;
-        }
-    }
+    // Leak update per live row (same expressions as step()); each range
+    // of neurons updates only its own columns.
+    eval.forEachCellRange(
+        instances_[RateDrive], rows.size(),
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+            for (const std::size_t b : rows) {
+                const auto pre = state.preact[RateDrive].row(b);
+                const auto h_row = state.h.row(b);
+                for (std::size_t n = begin; n < end; ++n) {
+                    const float d_t = tanhAct(pre[n] + gate.bias[n]);
+                    const float a = gate.peephole[n];
+                    h_row[n] = (1.f - a) * h_row[n] + a * d_t;
+                }
+            }
+        });
 }
 
 } // namespace nlfm::nn

@@ -2,10 +2,12 @@
  * @file
  * Determinism of the batched evaluation path under the thread pool:
  * every schedule forwardBatch can pick (chunk-parallel, or a single
- * chunk with each gate's neurons split over the pool) must yield
- * bitwise-identical outputs and identical ReuseStats to a 1-thread
- * pool, to threaded = false, and to the serial per-sequence path, for
- * the exact and the memoized evaluators alike.
+ * chunk with each gate's neurons and each cell's elementwise stage
+ * split over the pool) must yield bitwise-identical outputs and
+ * identical ReuseStats to a 1-thread pool, to threaded = false, and to
+ * the serial per-sequence path, for the exact and the memoized
+ * evaluators alike, called directly or through a pass-through
+ * decorator (which splits the cells' loops but runs its gates inline).
  */
 
 #include <gtest/gtest.h>
@@ -56,6 +58,9 @@ constexpr std::size_t kLargestBatch = kBatches[std::size(kBatches) - 1];
 // sequences are live, and drop below it (inline) as sequences end.
 static_assert(33 * (kInputSize + 33) * 50 >= nn::kMinSplitWork);
 static_assert(33 * (kInputSize + 33) * 45 < nn::kMinSplitWork);
+// While those gate calls split, so do the cells' elementwise loops:
+// they have at least nn::kMinSplitElements neuron-slots.
+static_assert(33 * 50 >= nn::kMinSplitElements);
 
 constexpr std::size_t kPoolThreads[] = {1, 2, 4, 7};
 
@@ -120,6 +125,40 @@ describe(const nn::BatchForwardOptions &options, std::size_t batch)
                 : std::string("unthreaded"));
 }
 
+/**
+ * Decorator that forwards every call to the evaluator it wraps. Handed
+ * to forwardBatch, it holds the neuron pool itself: on a one-chunk batch
+ * the cells' elementwise loops split while the gate calls it forwards
+ * run inline.
+ */
+class PassThroughEvaluator : public nn::BatchGateEvaluator
+{
+  public:
+    explicit PassThroughEvaluator(nn::BatchGateEvaluator &inner)
+        : inner_(inner)
+    {
+    }
+
+    void beginBatch(std::size_t total_sequences) override
+    {
+        inner_.beginBatch(total_sequences);
+    }
+
+    void evaluateGateBatch(const nn::GateInstance &instance,
+                           const nn::GateParams &params,
+                           const tensor::Matrix &x, const tensor::Matrix &h,
+                           std::span<const std::size_t> rows,
+                           std::size_t slot_base,
+                           tensor::Matrix &preact) override
+    {
+        inner_.evaluateGateBatch(instance, params, x, h, rows, slot_base,
+                                 preact);
+    }
+
+  private:
+    nn::BatchGateEvaluator &inner_;
+};
+
 void
 expectIdentical(std::span<const nn::Sequence> expected,
                 std::span<const nn::Sequence> actual)
@@ -155,10 +194,18 @@ TEST(BatchDeterminismTest, DirectPathIdenticalAcrossWorkerCounts)
                     SCOPED_TRACE(describe(options, batch));
                     const std::span<const nn::Sequence> inputs(
                         sequences.data(), batch);
+                    const std::span<const nn::Sequence> expected(
+                        reference.data(), batch);
                     expectIdentical(
-                        std::span<const nn::Sequence>(reference.data(),
-                                                      batch),
+                        expected,
                         network.forwardBatchBaseline(inputs, options));
+
+                    SCOPED_TRACE("through a pass-through decorator");
+                    nn::DirectBatchEvaluator direct;
+                    PassThroughEvaluator decorated(direct);
+                    expectIdentical(expected,
+                                    network.forwardBatch(inputs, decorated,
+                                                         options));
                 }
         }
 }
@@ -222,6 +269,43 @@ serialReference(nn::RnnNetwork &network, nn::BinarizedNetwork &bnn,
     return reference;
 }
 
+/**
+ * Run the first kBatches[k] sequences through a fresh BatchMemoEngine,
+ * called directly or through a PassThroughEvaluator, and check outputs,
+ * per-gate stats and per-slot reuse against the serial reference.
+ */
+void
+checkMemoizedBatch(nn::RnnNetwork &network, nn::BinarizedNetwork &bnn,
+                   const memo::MemoOptions &memo_options,
+                   const SerialReference &reference,
+                   const std::vector<nn::Sequence> &sequences, std::size_t k,
+                   const nn::BatchForwardOptions &options, bool decorate)
+{
+    const std::size_t batch = kBatches[k];
+    memo::BatchMemoEngine engine(network, &bnn, memo_options);
+    PassThroughEvaluator decorated(engine);
+    nn::BatchGateEvaluator &eval =
+        decorate ? static_cast<nn::BatchGateEvaluator &>(decorated) : engine;
+    expectIdentical(
+        std::span<const nn::Sequence>(reference.outputs.data(), batch),
+        network.forwardBatch(
+            std::span<const nn::Sequence>(sequences.data(), batch), eval,
+            options));
+
+    const memo::ReuseStats stats = engine.stats();
+    const memo::ReuseStats &expected = reference.prefixStats[k];
+    EXPECT_EQ(stats.totalSlots(), expected.totalSlots());
+    EXPECT_EQ(stats.totalReused(), expected.totalReused());
+    for (std::size_t gate = 0; gate < network.gateInstances().size(); ++gate)
+        ASSERT_EQ(stats.gateReuseFraction(gate),
+                  expected.gateReuseFraction(gate))
+            << "gate " << gate;
+    for (std::size_t slot = 0; slot < batch; ++slot)
+        ASSERT_EQ(engine.slotReuseFraction(slot),
+                  reference.sequenceReuse[slot])
+            << "slot " << slot;
+}
+
 TEST(BatchDeterminismTest, MemoizedPathIdenticalOutputsAndStats)
 {
     const auto pools = makePools();
@@ -234,7 +318,6 @@ TEST(BatchDeterminismTest, MemoizedPathIdenticalOutputsAndStats)
             nn::BinarizedNetwork bnn(network);
             const auto sequences =
                 makeSequences(kLargestBatch, config.inputSize, 97);
-            const std::size_t gates = network.gateInstances().size();
 
             for (const MemoCase &memo_case : kMemoCases) {
                 SCOPED_TRACE(config.describe() + ", " + memo_case.name);
@@ -247,34 +330,14 @@ TEST(BatchDeterminismTest, MemoizedPathIdenticalOutputsAndStats)
                     serialReference(network, bnn, memo_options, sequences);
 
                 for (std::size_t k = 0; k < std::size(kBatches); ++k)
-                    for (const auto &options : schedules(pools)) {
-                        const std::size_t batch = kBatches[k];
-                        SCOPED_TRACE(describe(options, batch));
-                        memo::BatchMemoEngine engine(network, &bnn,
-                                                     memo_options);
-                        expectIdentical(
-                            std::span<const nn::Sequence>(
-                                reference.outputs.data(), batch),
-                            network.forwardBatch(
-                                std::span<const nn::Sequence>(
-                                    sequences.data(), batch),
-                                engine, options));
-
-                        const memo::ReuseStats stats = engine.stats();
-                        const memo::ReuseStats &expected =
-                            reference.prefixStats[k];
-                        EXPECT_EQ(stats.totalSlots(), expected.totalSlots());
-                        EXPECT_EQ(stats.totalReused(),
-                                  expected.totalReused());
-                        for (std::size_t gate = 0; gate < gates; ++gate)
-                            ASSERT_EQ(stats.gateReuseFraction(gate),
-                                      expected.gateReuseFraction(gate))
-                                << "gate " << gate;
-                        for (std::size_t slot = 0; slot < batch; ++slot)
-                            ASSERT_EQ(engine.slotReuseFraction(slot),
-                                      reference.sequenceReuse[slot])
-                                << "slot " << slot;
-                    }
+                    for (const auto &options : schedules(pools))
+                        for (const bool decorate : {false, true}) {
+                            SCOPED_TRACE(describe(options, kBatches[k]) +
+                                         (decorate ? ", decorated" : ""));
+                            checkMemoizedBatch(network, bnn, memo_options,
+                                               reference, sequences, k,
+                                               options, decorate);
+                        }
             }
         }
 }

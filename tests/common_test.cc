@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <thread>
 
 #include "common/cli.hh"
 #include "common/fixed_point.hh"
@@ -529,6 +532,63 @@ TEST(ParallelTest, ZeroCountIsNoop)
     bool called = false;
     parallelFor(0, [&](std::size_t, std::size_t) { called = true; });
     EXPECT_FALSE(called);
+}
+
+TEST(ParallelTest, ThrowInCallerChunkWaitsForEveryChunk)
+{
+    // Chunk 0 runs on the caller and throws at once; run() must still
+    // wait for the worker's slow chunk before it rethrows.
+    ThreadPool pool(2);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<bool> worker_done{false};
+    try {
+        pool.run(2, [&](std::size_t, std::size_t) {
+            if (std::this_thread::get_id() == caller)
+                throw std::runtime_error("caller chunk");
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            worker_done.store(true);
+        });
+        ADD_FAILURE() << "run() did not rethrow";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "caller chunk");
+    }
+    EXPECT_TRUE(worker_done.load());
+}
+
+TEST(ParallelTest, ThrowInWorkerChunkIsRethrownOnCaller)
+{
+    ThreadPool pool(4);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> chunks_run{0};
+    try {
+        pool.run(4, [&](std::size_t begin, std::size_t) {
+            chunks_run.fetch_add(1);
+            if (std::this_thread::get_id() != caller && begin == 2)
+                throw std::runtime_error("worker chunk");
+        });
+        ADD_FAILURE() << "run() did not rethrow";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "worker chunk");
+    }
+    EXPECT_EQ(chunks_run.load(), 4);
+}
+
+TEST(ParallelTest, PoolRunsTheNextJobAfterAThrow)
+{
+    ThreadPool pool(4);
+    EXPECT_THROW(pool.run(4,
+                          [](std::size_t begin, std::size_t) {
+                              if (begin % 2 == 1)
+                                  throw std::logic_error("odd chunk");
+                          }),
+                 std::logic_error);
+    std::vector<std::atomic<int>> hits(1000);
+    pool.run(hits.size(), [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i)
+            hits[i].fetch_add(1);
+    });
+    for (auto &h : hits)
+        EXPECT_EQ(h.load(), 1);
 }
 
 } // namespace
