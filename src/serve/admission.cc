@@ -13,6 +13,9 @@ namespace nlfm::serve
 namespace
 {
 
+/// Prefix of every error a request's future carries.
+const std::string kErrorPrefix = "serve::FleetServer";
+
 double
 millis(Clock::duration d)
 {
@@ -80,8 +83,7 @@ Admission::attachStats(ServingStats &aggregate,
 {
     nlfm_assert(aggregate_ == nullptr,
                 "Admission::attachStats called twice");
-    nlfm_assert(per_model.empty() ||
-                    per_model.size() == models_.size(),
+    nlfm_assert(per_model.size() == models_.size(),
                 "attachStats per-model sink count != model count");
     aggregate_ = &aggregate;
     modelStats_ = std::move(per_model);
@@ -154,7 +156,7 @@ Admission::submit(std::size_t model, Request request)
                     " holds a NaN or infinite value";
         if (!error.empty()) {
             item.promise.set_exception(std::make_exception_ptr(
-                std::invalid_argument(config_.server + ": " + error)));
+                std::invalid_argument(kErrorPrefix + ": " + error)));
             return future;
         }
     }
@@ -185,7 +187,7 @@ Admission::submit(std::size_t model, Request request)
         // of leaving a broken promise. (push only consumes the item on
         // success, so the promise is still ours to fail.)
         item.promise.set_exception(std::make_exception_ptr(
-            std::runtime_error(config_.server + " stopped")));
+            std::runtime_error(kErrorPrefix + " stopped")));
         finishOne();
         return future;
     }
@@ -270,8 +272,7 @@ Admission::complete(std::size_t model, std::size_t slot,
                 "serve::Admission: attachStats() must be called "
                 "before completions");
     aggregate_->record(response);
-    if (!modelStats_.empty())
-        modelStats_[model]->record(response);
+    modelStats_[model]->record(response);
     if (telemetry_ != nullptr) {
         telemetry_->onComplete(model, response);
         // Per-request lifecycle spans, from the SAME timestamps the
@@ -368,13 +369,12 @@ Admission::shed(QueuedRequest &&item, std::size_t model,
     nlfm_assert(aggregate_ != nullptr,
                 "serve::Admission: attachStats() must be called "
                 "before sheds can be recorded");
-    if (!modelStats_.empty())
-        modelStats_[model]->recordShed(reason);
+    modelStats_[model]->recordShed(reason);
     aggregate_->recordShed(reason);
     if (telemetry_ != nullptr)
         telemetry_->onShed(model, reason);
     item.promise.set_exception(std::make_exception_ptr(ShedError(
-        config_.server +
+        kErrorPrefix +
         (reason == ShedReason::Expired
              ? ": deadline expired before admission (shed)"
              : ": predicted completion past the deadline (shed)"))));

@@ -25,7 +25,6 @@ AdmissionConfig
 fleetAdmissionConfig(const FleetOptions &options)
 {
     AdmissionConfig config;
-    config.server = "serve::FleetServer";
     config.queueCapacity = options.queueCapacity;
     config.slots = options.slots;
     config.queuePolicy = options.queuePolicy;
@@ -126,8 +125,10 @@ FleetServer::FleetServer(const ModelRegistry &registry,
     }
     if (options_.workers > 1)
         pool_ = std::make_unique<ThreadPool>(options_.workers);
-    // Same effective-chunk-size rule as the single-model Server: cap so
-    // the requested workers can split the pool at small widths.
+    // Effective chunk size: chunkSize is an upper bound; with a pool,
+    // cap it so the requested workers can actually split the slot range
+    // (otherwise workers > 1 with slots <= chunkSize would silently
+    // step every tick single-threaded).
     chunkSize_ = std::max<std::size_t>(1, options_.chunkSize);
     if (options_.workers > 1)
         chunkSize_ = std::min(
@@ -431,10 +432,10 @@ FleetServer::tick()
     }
 
     // Flatten every model's slot-range chunks into one task list and
-    // step them on the single shared pool. Chunk boundaries follow the
-    // same rule as the single-model Server (slot / chunkSize groups per
-    // model), so panel composition per chunk is independent of worker
-    // count — and of which other models share the fleet.
+    // step them on the single shared pool. Chunk boundaries are
+    // slot / chunkSize groups per model, as in forwardBatch, so panel
+    // composition per chunk is independent of worker count — and of
+    // which other models share the fleet.
     const std::size_t chunk_size = chunkSize_;
     auto &tasks = tickTasks_;
     tasks.clear();

@@ -1,13 +1,15 @@
 /// @file
 /// Multi-model fleet host: several resident models, one slot pool.
 ///
-/// A FleetServer generalizes the single-model Server to N resident
-/// models (or theta-tuned variants of one network) sharing one slot
-/// budget and one thread budget. Each registered model keeps its own
-/// NetworkStepper panels and slot-keyed memo engine — numerical state
-/// never crosses models — but the SLOTS are a single shared pool: a
-/// slot freed by one model's completed sequence is reclaimed into the
-/// pool and may be handed to any model on the next admission, cold.
+/// A FleetServer hosts N resident models (or theta-tuned variants of
+/// one network) sharing one slot budget and one thread budget; the
+/// single-model serve::Server is a FleetServer with one model, so this
+/// driver serves every request in the repo. Each registered model
+/// keeps its own NetworkStepper panels and slot-keyed memo engine —
+/// numerical state never crosses models — but the SLOTS are a single
+/// shared pool: a slot freed by one model's completed sequence is
+/// reclaimed into the pool and may be handed to any model on the next
+/// admission, cold.
 ///
 /// Requests are routed by model id (or name) into per-model bounded
 /// queues; the FleetScheduler admits across those queues with weighted
@@ -18,12 +20,12 @@
 /// over the single optional ThreadPool, so the thread budget is shared
 /// exactly like the slot budget.
 ///
-/// Determinism: each request's output is bitwise identical to the same
-/// request served by a single-model serve::Server (and therefore to
-/// RnnNetwork::forward at the same theta) — per-model state is slot-
-/// keyed and per-row results never depend on panel composition, so
-/// which models share the fleet, which slot a request lands in, and
-/// the worker count all cancel out. Pinned by tests/fleet_test.cc.
+/// Determinism: each request's output is bitwise identical to
+/// RnnNetwork::forward through the serial MemoEngine at the same theta
+/// — per-model state is slot-keyed and per-row results never depend on
+/// panel composition, so which models share the fleet, which slot a
+/// request lands in, and the worker count all cancel out. Pinned by
+/// tests/fleet_test.cc against that serial reference.
 ///
 /// Accounting is per model and aggregate: ServingStats per registered
 /// model plus a fleet-wide accumulator, all exposed in one

@@ -23,8 +23,15 @@
 /// (latencies, which tick admitted what) depend on wall-clock timing and
 /// are not reproducible run to run.
 ///
+/// Implementation: a Server is a one-model FleetServer
+/// (serve/fleet_server.hh). It owns one fleet whose registry holds one
+/// model named "default" (the label its telemetry and errors carry),
+/// and every member forwards to that fleet with model id 0. Error
+/// texts and metrics are therefore the fleet's (docs/SERVING.md,
+/// "Server as a one-model fleet").
+///
 /// Threading model: clients call enqueue()/collect() from any thread;
-/// one internal driver thread owns the scheduler, stepper, and engine;
+/// the fleet's driver thread owns the scheduler, stepper, and engine;
 /// panel work inside a tick is optionally spread over a private
 /// ThreadPool (ServerOptions::workers). The pool is private because
 /// ThreadPool::run is not reentrant — sharing one pool between the
@@ -34,17 +41,7 @@
 #ifndef NLFM_SERVE_SERVER_HH
 #define NLFM_SERVE_SERVER_HH
 
-#include <atomic>
-#include <memory>
-#include <thread>
-
-#include "common/parallel.hh"
-#include "memo/memo_batch.hh"
-#include "nn/network_stepper.hh"
-#include "serve/admission.hh"
-#include "serve/scheduler.hh"
-#include "serve/stats.hh"
-#include "serve/theta_controller.hh"
+#include "serve/fleet_server.hh"
 
 namespace nlfm::serve
 {
@@ -135,7 +132,9 @@ struct ServerOptions
     TelemetryOptions telemetry{};
 };
 
-/// Continuous-batching inference server.
+/// Continuous-batching inference server: a one-model FleetServer.
+/// Destroying it stops and joins the driver (drains already-queued
+/// requests).
 class Server
 {
   public:
@@ -146,9 +145,6 @@ class Server
     Server(nn::RnnNetwork &network, nn::BinarizedNetwork *bnn,
            const ServerOptions &options);
 
-    /// Stops and joins the driver (drains already-queued requests).
-    ~Server();
-
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
 
@@ -157,117 +153,75 @@ class Server
     /// Submit one request. Blocks while the queue is full. The returned
     /// future resolves when the request's last step completes; after
     /// stop() it carries a std::runtime_error instead.
-    std::future<Response> enqueue(Request request);
+    std::future<Response> enqueue(Request request)
+    {
+        return fleet_.enqueue(0, std::move(request));
+    }
 
     /// Block on one future and return its Response (convenience; any
     /// future-composition works too).
-    static Response collect(std::future<Response> &future);
-    static Response collect(std::future<Response> &&future);
+    static Response collect(std::future<Response> &future)
+    {
+        return future.get();
+    }
+    static Response collect(std::future<Response> &&future)
+    {
+        return future.get();
+    }
 
     /// Block until every request enqueued so far has completed.
-    void drain();
+    void drain() { fleet_.drain(); }
 
     /// Close the queue, drain, and stop the driver thread. Idempotent;
     /// enqueue after stop() returns a failed future.
-    void stop();
+    void stop() { fleet_.stop(); }
 
     /// Aggregate accounting of completed requests since construction
     /// (or the last resetStats). Bounded memory: see ServingStats.
-    StatsSnapshot stats() const { return stats_.snapshot(); }
+    StatsSnapshot stats() const { return fleet_.stats(); }
 
     /// Open a fresh measurement window (windowed load studies).
-    void resetStats() { stats_.reset(); }
+    void resetStats() { fleet_.resetStats(); }
 
     /// Requests currently queued (not yet admitted).
-    std::size_t queueDepth() const { return admission_.queueDepth(0); }
+    std::size_t queueDepth() const { return fleet_.queueDepth(0); }
 
     /// The autopilot's current effective theta floor (0 when the
     /// autopilot is off or idle). Any thread.
-    double thetaFloor() const { return admission_.thetaFloor(0); }
+    double thetaFloor() const { return fleet_.thetaFloor(0); }
 
     /// Highest floor the autopilot reached since construction (0 when
     /// off). Any thread.
-    double maxThetaFloorSeen() const
-    {
-        return controller_ ? controller_->maxFloorSeen() : 0.0;
-    }
+    double maxThetaFloorSeen() const { return fleet_.maxThetaFloorSeen(0); }
 
     /// Warm-start sessions currently stored (0 when sessions are
     /// disabled). Any thread.
-    std::size_t sessionCount() const
-    {
-        return admission_.sessionCount(0);
-    }
+    std::size_t sessionCount() const { return fleet_.sessionCount(0); }
 
     /// Sessions evicted by capacity pressure (0 when disabled). Any
     /// thread.
     std::uint64_t sessionEvictions() const
     {
-        return admission_.sessionEvictions();
+        return fleet_.sessionEvictions();
     }
 
     /// Telemetry bundle; null when ServerOptions::telemetry is all off.
     /// Registry reads (exposition/jsonSnapshot) are any-thread; trace
     /// export is post-stop (DriverTracer contract).
-    Telemetry *telemetry() { return telemetry_.get(); }
-    const Telemetry *telemetry() const { return telemetry_.get(); }
+    Telemetry *telemetry() { return fleet_.telemetry(); }
+    const Telemetry *telemetry() const { return fleet_.telemetry(); }
 
     /// Oldest-first autopilot decision audit (empty when the autopilot
     /// is off or ThetaAutopilotOptions::auditCapacity == 0). Any
     /// thread.
     std::vector<ThetaDecision> thetaAudit() const
     {
-        return controller_ ? controller_->audit()
-                           : std::vector<ThetaDecision>{};
+        return fleet_.thetaAudit(0);
     }
 
   private:
-    void driverLoop();
-    void controllerTick();
-    void admitPending();
-    void tick();
-    void completeSlot(std::size_t slot);
-
-    nn::RnnNetwork &network_;
     ServerOptions options_;
-
-    ServingStats stats_;
-    /// Shared admission front end (serve/admission.hh): the queue,
-    /// validation, shedding policies, completion delivery, and drain
-    /// bookkeeping — one model (id 0).
-    Admission admission_;
-    Scheduler scheduler_;
-    nn::NetworkStepper stepper_;
-
-    /// Theta autopilot; null unless options.autopilot.enabled. Ticked
-    /// by the driver loop, floor published through admission_.
-    std::unique_ptr<ThetaController> controller_;
-
-    /// Telemetry bundle; null unless options.telemetry.enabled().
-    std::unique_ptr<Telemetry> telemetry_;
-    /// Gate phase-time sink, attached to the memoized engine only when
-    /// tracing is on; tick() differences the cumulative counters to
-    /// attribute each step to probe/decide/commit.
-    memo::GatePhaseTimes phaseTimes_;
-    std::uint64_t lastProbeNs_ = 0;
-    std::uint64_t lastDecideNs_ = 0;
-    std::uint64_t lastCommitNs_ = 0;
-
-    /// Exactly one of engine_/exact_ serves, per options_.memoized.
-    std::unique_ptr<memo::BatchMemoEngine> engine_;
-    std::unique_ptr<nn::DirectBatchEvaluator> exact_;
-    nn::BatchGateEvaluator *evaluator_ = nullptr;
-
-    std::unique_ptr<ThreadPool> pool_; ///< null when workers == 1
-    std::size_t chunkSize_ = 64;       ///< effective per-tick chunk size
-
-    // Driver-tick scratch (touched by the driver thread; tickRanges_ is
-    // read by pool workers inside a tick).
-    std::vector<std::pair<std::size_t, std::size_t>> tickRanges_;
-    std::vector<std::size_t> tickDone_;
-
-    std::atomic<bool> stopping_{false};
-    std::thread driver_;
+    FleetServer fleet_;
 };
 
 } // namespace nlfm::serve

@@ -6,9 +6,13 @@
  *    proportion to registered weights and never starves a backlogged
  *    model.
  *  - Every request served by a fleet produces outputs bitwise identical
- *    to the same request served by a single-model serve::Server (and
- *    therefore to the serial MemoEngine) — sharing the slot pool with
- *    other models is a scheduling change, not a numerical one.
+ *    to RnnNetwork::forward through the serial MemoEngine, a reference
+ *    that never runs the serving driver — sharing the slot pool with
+ *    other models is a scheduling change, not a numerical one. (A
+ *    serve::Server is a one-model fleet, so comparing against one
+ *    shows schedule independence, not an independent result.)
+ *  - serve::Server forwards to its one-model fleet: model "default",
+ *    model id 0, and the fleet's counters.
  *  - A slot reclaimed from one model and handed to another starts cold
  *    in both models' engines.
  *  - Skewed load at one model does not starve its neighbor.
@@ -313,6 +317,11 @@ TEST(FleetTest, OutputsBitwiseIdenticalToSingleModelServers)
         expectSequenceIdentical(ref_gru[b], response.output,
                                 "fleet vs single server, gru request " +
                                     std::to_string(b));
+        expectSequenceIdentical(
+            serialReference(gru.network, gru.bnn, gru.sequences[b],
+                            expected_theta),
+            response.output,
+            "fleet vs serial, gru request " + std::to_string(b));
     }
 
     // Per-model stats break the aggregate down exactly.
@@ -325,6 +334,64 @@ TEST(FleetTest, OutputsBitwiseIdenticalToSingleModelServers)
     EXPECT_EQ(stats.aggregate.completed,
               fut_lstm.size() + fut_gru.size());
     EXPECT_EQ(stats.aggregate.shed, 0u);
+}
+
+// ------------------------------------------ the one-model Server facade
+
+TEST(FleetTest, ServerIsAOneModelFleet)
+{
+    TestModel lstm(lstmConfig(), 47, 4, 113);
+
+    serve::ServerOptions options;
+    options.slots = 2;
+    options.memo.predictor = memo::PredictorKind::Bnn;
+    options.memo.theta = 0.05;
+    options.telemetry.metrics = true;
+    ASSERT_FALSE(options.autopilot.enabled);
+    serve::Server server(lstm.network, &lstm.bnn, options);
+    ASSERT_NE(server.telemetry(), nullptr);
+
+    // Five requests on two slots, one of them zero-length: it is
+    // admitted like the others and completes without a step.
+    std::vector<nn::Sequence> inputs = lstm.sequences;
+    inputs.insert(inputs.begin() + 2, nn::Sequence{});
+    ASSERT_EQ(inputs.size(), 5u);
+    std::vector<std::future<serve::Response>> futures;
+    for (const nn::Sequence &input : inputs) {
+        serve::Request request;
+        request.input = input;
+        futures.push_back(server.enqueue(std::move(request)));
+    }
+    for (std::size_t b = 0; b < futures.size(); ++b) {
+        const serve::Response response =
+            serve::Server::collect(futures[b]);
+        ASSERT_EQ(response.steps, inputs[b].size()) << "request " << b;
+        if (inputs[b].empty())
+            continue;
+        expectSequenceIdentical(
+            serialReference(lstm.network, lstm.bnn, inputs[b],
+                            options.memo.theta),
+            response.output,
+            "server vs serial, request " + std::to_string(b));
+    }
+    server.drain();
+    EXPECT_EQ(server.queueDepth(), 0u);
+
+    // Every admission goes through the fleet's scheduler, so the
+    // fleet's admission counter counts a Server's requests too.
+    auto &registry = server.telemetry()->registry();
+    const auto counter = [&registry](const std::string &name) {
+        return registry.counter(name, "").value();
+    };
+    EXPECT_EQ(
+        counter("nlfm_serve_fleet_admissions_total{model=\"default\"}"),
+        inputs.size());
+    EXPECT_EQ(counter("nlfm_serve_completed_total{model=\"default\"}"),
+              inputs.size());
+
+    EXPECT_EQ(server.thetaFloor(), 0.0);
+    EXPECT_TRUE(server.thetaAudit().empty());
+    EXPECT_EQ(server.options().slots, 2u);
 }
 
 TEST(FleetTest, OutputsDeterministicAcrossWorkerCounts)

@@ -347,7 +347,6 @@ serve::Admission
 makeAdmission(double default_theta)
 {
     serve::AdmissionConfig config;
-    config.server = "theta_controller_test";
     config.queueCapacity = 4;
     config.slots = 2;
 
@@ -419,8 +418,8 @@ TEST(AdmissionThetaFloor, AttachStatsTwicePanics)
         {
             serve::Admission admission = makeAdmission(0.05);
             serve::ServingStats stats;
-            admission.attachStats(stats);
-            admission.attachStats(stats);
+            admission.attachStats(stats, {&stats});
+            admission.attachStats(stats, {&stats});
         },
         "attachStats");
 }
