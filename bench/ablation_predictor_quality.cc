@@ -25,76 +25,100 @@ namespace
 {
 
 /**
- * Strawman evaluator: per gate instance, cache the previous input
- * vector and per-neuron outputs; reuse the whole gate when the mean
- * relative input change is below theta.
+ * Strawman evaluator: per gate instance and sequence slot, cache the
+ * previous input vector and per-neuron outputs; reuse the slot's whole
+ * gate output when the mean relative input change is below theta.
  */
-class InputSimilarityEvaluator : public nn::GateEvaluator
+class InputSimilarityEvaluator : public nn::BatchGateEvaluator
 {
   public:
     InputSimilarityEvaluator(const nn::RnnNetwork &network, double theta)
-        : theta_(theta), prevInput_(network.gateInstances().size()),
-          cachedOutput_(network.gateInstances().size()),
-          valid_(network.gateInstances().size(), 0)
+        : theta_(theta), gates_(network.gateInstances().size())
     {
     }
 
     void
-    beginSequence() override
+    beginBatch(std::size_t total_sequences) override
     {
-        std::fill(valid_.begin(), valid_.end(), 0);
+        slots_ = total_sequences;
+        prevInput_.assign(gates_ * slots_, {});
+        cachedOutput_.assign(gates_ * slots_, {});
+        valid_.assign(gates_ * slots_, 0);
+        totalSlots_.assign(slots_, 0);
+        reusedSlots_.assign(slots_, 0);
     }
 
     void
-    evaluateGate(const nn::GateInstance &instance,
-                 const nn::GateParams &params, std::span<const float> x,
-                 std::span<const float> h, std::span<float> preact)
-        override
+    evaluateGateBatch(const nn::GateInstance &instance,
+                      const nn::GateParams &params, const tensor::Matrix &x,
+                      const tensor::Matrix &h,
+                      std::span<const std::size_t> rows,
+                      std::size_t slot_base, tensor::Matrix &preact) override
     {
-        auto &prev = prevInput_[instance.instanceId];
-        auto &cache = cachedOutput_[instance.instanceId];
-        std::vector<float> concat(x.begin(), x.end());
-        concat.insert(concat.end(), h.begin(), h.end());
+        std::vector<std::size_t> missing;
+        for (const std::size_t b : rows) {
+            const std::size_t slot = slot_base + b;
+            const std::size_t key = instance.instanceId * slots_ + slot;
+            auto &prev = prevInput_[key];
+            std::vector<float> concat(x.row(b).begin(), x.row(b).end());
+            concat.insert(concat.end(), h.row(b).begin(), h.row(b).end());
 
-        bool reuse = false;
-        if (valid_[instance.instanceId]) {
-            double total = 0.0;
-            for (std::size_t i = 0; i < concat.size(); ++i) {
-                const double denom =
-                    std::max(1e-6, std::fabs(double(prev[i])));
-                total += std::fabs(concat[i] - prev[i]) / denom;
+            bool reuse = false;
+            if (valid_[key]) {
+                double total = 0.0;
+                for (std::size_t i = 0; i < concat.size(); ++i) {
+                    const double denom =
+                        std::max(1e-6, std::fabs(double(prev[i])));
+                    total += std::fabs(concat[i] - prev[i]) / denom;
+                }
+                reuse = total / static_cast<double>(concat.size()) <= theta_;
             }
-            reuse = total / static_cast<double>(concat.size()) <= theta_;
-        }
 
-        totalSlots_ += instance.neurons;
-        if (reuse) {
-            std::copy(cache.begin(), cache.end(), preact.begin());
-            reusedSlots_ += instance.neurons;
-            return;
+            totalSlots_[slot] += instance.neurons;
+            if (reuse) {
+                const auto &cache = cachedOutput_[key];
+                std::copy(cache.begin(), cache.end(), preact.row(b).begin());
+                reusedSlots_[slot] += instance.neurons;
+                continue;
+            }
+            prev = std::move(concat);
+            valid_[key] = 1;
+            missing.push_back(b);
         }
-        for (std::size_t n = 0; n < instance.neurons; ++n)
-            preact[n] = nn::evaluateNeuron(params, n, x, h);
-        cache.assign(preact.begin(), preact.end());
-        prev = std::move(concat);
-        valid_[instance.instanceId] = 1;
+        if (missing.empty())
+            return;
+        params.wx.matvecPanel(x, missing, preact, false);
+        params.wh.matvecPanel(h, missing, preact, true);
+        for (const std::size_t b : missing)
+            cachedOutput_[instance.instanceId * slots_ + slot_base + b]
+                .assign(preact.row(b).begin(), preact.row(b).end());
     }
 
     double
     reuseFraction() const
     {
-        return totalSlots_ ? static_cast<double>(reusedSlots_) /
-                                 static_cast<double>(totalSlots_)
-                           : 0.0;
+        std::uint64_t total = 0;
+        std::uint64_t reused = 0;
+        for (std::size_t slot = 0; slot < slots_; ++slot) {
+            total += totalSlots_[slot];
+            reused += reusedSlots_[slot];
+        }
+        return total ? static_cast<double>(reused) /
+                           static_cast<double>(total)
+                     : 0.0;
     }
 
   private:
     double theta_;
+    std::size_t gates_;
+    std::size_t slots_ = 0;
+    // Per (gate instance, slot): index instanceId * slots_ + slot.
     std::vector<std::vector<float>> prevInput_;
     std::vector<std::vector<float>> cachedOutput_;
     std::vector<std::uint8_t> valid_;
-    std::uint64_t totalSlots_ = 0;
-    std::uint64_t reusedSlots_ = 0;
+    // Per slot, so concurrent chunks never share a counter.
+    std::vector<std::uint64_t> totalSlots_;
+    std::vector<std::uint64_t> reusedSlots_;
 };
 
 } // namespace

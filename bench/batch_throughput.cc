@@ -1,15 +1,16 @@
 /**
  * @file
- * Throughput of the batched multi-sequence evaluation path vs the serial
- * per-sequence path, on the speech-recognition workload (DeepSpeech2,
+ * Throughput of one batch of many sequences vs the same sequences run
+ * one at a time, on the speech-recognition workload (DeepSpeech2,
  * GRU 5x800).
  *
- * The serial path streams every gate's weight matrix from memory once
- * per sequence per timestep; the batched path streams it once per chunk
- * of sequences, so on a bandwidth-bound network the speedup approaches
- * the chunk size (plus whatever the thread pool adds on multi-core
- * hosts). Both paths produce bitwise-identical outputs (tests/
- * batch_test.cc), so this bench measures scheduling only.
+ * The per-sequence arm loops RnnNetwork::forward, a one-row batch per
+ * sequence, so it streams every gate's weight matrix once per sequence
+ * per timestep; the batched arm streams it once per chunk of sequences,
+ * so on a bandwidth-bound network the speedup approaches the chunk size
+ * (plus whatever the thread pool adds on multi-core hosts). Both arms
+ * produce bitwise-identical outputs (tests/batch_test.cc), so this bench
+ * measures scheduling only.
  */
 
 #include <chrono>
@@ -35,12 +36,12 @@ secondsSince(std::chrono::steady_clock::time_point start)
 
 struct Sample
 {
-    double serialSec = 0.0;
+    double perSequenceSec = 0.0;
     double batchSec = 0.0;
 
     double speedup() const
     {
-        return batchSec > 0.0 ? serialSec / batchSec : 0.0;
+        return batchSec > 0.0 ? perSequenceSec / batchSec : 0.0;
     }
 };
 
@@ -52,7 +53,7 @@ measureDirect(nn::RnnNetwork &network,
     auto start = std::chrono::steady_clock::now();
     for (const auto &sequence : inputs)
         network.forwardBaseline(sequence);
-    sample.serialSec = secondsSince(start);
+    sample.perSequenceSec = secondsSince(start);
 
     start = std::chrono::steady_clock::now();
     network.forwardBatchBaseline(inputs);
@@ -60,7 +61,7 @@ measureDirect(nn::RnnNetwork &network,
     return sample;
 }
 
-/** Time one memoized batch pass only (no serial reference run). */
+/** Time one memoized batch pass only (no per-sequence run). */
 double
 measureMemoBatch(nn::RnnNetwork &network, nn::BinarizedNetwork &bnn,
                  std::span<const nn::Sequence> inputs,
@@ -78,11 +79,11 @@ measureMemo(nn::RnnNetwork &network, nn::BinarizedNetwork &bnn,
             const memo::MemoOptions &options)
 {
     Sample sample;
-    memo::MemoEngine serial(network, &bnn, options);
+    memo::MemoEngine one(network, &bnn, options);
     const auto start = std::chrono::steady_clock::now();
     for (const auto &sequence : inputs)
-        network.forward(sequence, serial);
-    sample.serialSec = secondsSince(start);
+        network.forward(sequence, one);
+    sample.perSequenceSec = secondsSince(start);
     sample.batchSec = measureMemoBatch(network, bnn, inputs, options);
     return sample;
 }
@@ -94,8 +95,8 @@ main(int argc, char **argv)
 {
     bench::BenchOptions options = bench::parseBenchArgs(
         argc, argv,
-        "batched+threaded evaluation throughput vs the serial "
-        "per-sequence path (speech recognition workload)");
+        "batched+threaded evaluation throughput vs one sequence at a "
+        "time (speech recognition workload)");
 
     // This bench is about one network's scheduling, not the zoo sweep:
     // default to the speech-recognition workload unless a single network
@@ -121,9 +122,9 @@ main(int argc, char **argv)
     nn::BinarizedNetwork &bnn = *workload->bnn;
     const std::span<const nn::Sequence> all = workload->testInputs;
 
-    // Untimed warmup: touch every weight page once so the serial pass
-    // (always measured first) doesn't pay the cold-cache cost that the
-    // batch pass then skips.
+    // Untimed warmup: touch every weight page once so the per-sequence
+    // pass (always measured first) doesn't pay the cold-cache cost that
+    // the batch pass then skips.
     network.forwardBaseline(all.front());
 
     memo::MemoOptions memo_options;
@@ -133,7 +134,7 @@ main(int argc, char **argv)
     std::printf("\n%-6s | %-27s | %-27s\n", "", "direct (exact)",
                 "memoized (BNN, theta=0.05)");
     std::printf("%-6s | %9s %9s %7s | %9s %9s %7s\n", "batch",
-                "serial/s", "batch/s", "speedup", "serial/s", "batch/s",
+                "per-seq/s", "batch/s", "speedup", "per-seq/s", "batch/s",
                 "speedup");
     std::printf("-------+-----------------------------+---------------"
                 "--------------\n");
@@ -149,8 +150,8 @@ main(int argc, char **argv)
 
         const double b = static_cast<double>(batch);
         std::printf("%-6zu | %9.2f %9.2f %6.2fx | %9.2f %9.2f %6.2fx\n",
-                    batch, b / direct.serialSec, b / direct.batchSec,
-                    direct.speedup(), b / memoized.serialSec,
+                    batch, b / direct.perSequenceSec, b / direct.batchSec,
+                    direct.speedup(), b / memoized.perSequenceSec,
                     b / memoized.batchSec, memoized.speedup());
 
         if (batch >= 8 && direct_speedup_at_8 == 0.0) {

@@ -701,7 +701,7 @@ main(int argc, char **argv)
     // the closed-loop ThetaController on seed-paired arrivals.
     bool autopilot_accounted = true;
     if (options.autopilotRamp) {
-        // Offline curve: the CANONICAL tune sweep — serial memo engine
+        // Offline curve: the CANONICAL tune sweep — WorkloadEvaluator
         // on the tune split, scored with the workload's task metric.
         // This is exactly the §3.2.1 calibration artifact every figure
         // bench produces; the autopilot consumes it as its accuracy

@@ -57,7 +57,7 @@ main()
                 train_set.data() + i, batch));
             ++batches;
         }
-        nn::DirectEvaluator direct;
+        nn::DirectBatchEvaluator direct;
         std::printf("epoch %d: loss %.3f, test accuracy %.1f%%\n",
                     epoch, loss / static_cast<double>(batches),
                     100.0 * trainer.evaluateAccuracy(test_set, direct));
@@ -66,7 +66,7 @@ main()
     // The binarized mirror must be refreshed after training.
     nn::BinarizedNetwork bnn(network);
 
-    nn::DirectEvaluator direct;
+    nn::DirectBatchEvaluator direct;
     const double base_accuracy =
         trainer.evaluateAccuracy(test_set, direct);
     std::printf("\ntrained accuracy: %.1f%%\n", 100.0 * base_accuracy);

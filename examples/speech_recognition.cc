@@ -37,7 +37,7 @@ main()
                 workload->testInputs[0].size());
 
     // Show a decoded utterance (greedy + CTC collapse).
-    nn::DirectEvaluator direct;
+    nn::DirectBatchEvaluator direct;
     const nn::Sequence outputs =
         workload->network->forward(workload->testInputs[0], direct);
     metrics::TokenSeq frames;

@@ -150,18 +150,4 @@ ThreadPool::global()
     return pool;
 }
 
-void
-parallelFor(std::size_t count,
-            const std::function<void(std::size_t, std::size_t)> &body)
-{
-    // Below this size the dispatch cost exceeds the work.
-    constexpr std::size_t serial_cutoff = 32;
-    if (count < serial_cutoff) {
-        if (count > 0)
-            body(0, count);
-        return;
-    }
-    ThreadPool::global().run(count, body);
-}
-
 } // namespace nlfm

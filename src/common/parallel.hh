@@ -1,13 +1,12 @@
 /**
  * @file
- * Minimal thread pool with a deterministic parallelFor.
+ * Minimal thread pool running blocking range jobs.
  *
- * The functional simulation of the larger Table-1 networks (e.g. MNMT,
- * 8x1024 LSTM) is matvec-bound; parallelising over neurons keeps the
- * bench harness fast. Work is split into contiguous static chunks so the
- * assignment of iterations to chunks is deterministic regardless of
- * thread count (per-iteration state must still be independent, which it
- * is for per-neuron memoization entries).
+ * RnnNetwork::forwardBatch runs sequence chunks on it, or splits a
+ * one-chunk batch's gate calls and cell loops over it by neurons
+ * (nn/batch_evaluator.hh); the servers drive their ticks on a private
+ * one. A job's range is split into contiguous static chunks, one per
+ * thread.
  */
 
 #ifndef NLFM_COMMON_PARALLEL_HH
@@ -55,8 +54,7 @@ class ThreadPool
      * instead of left undefined; callers that need parallelism inside a
      * parallel region must use a separate pool, which is exactly why
      * serve::Server/FleetServer keep a private pool instead of sharing
-     * ThreadPool::global(). Single-chunk fallbacks (count or pool of 1,
-     * the common case of nested parallelFor on a small host) run the
+     * ThreadPool::global(). Single-chunk runs (count or pool of 1) run the
      * body inline and are exempt: they never touch the job slot.
      */
     void run(std::size_t count,
@@ -90,15 +88,6 @@ class ThreadPool
     /// nested/concurrent invocation (see run()'s doc).
     std::atomic<bool> inRun_{false};
 };
-
-/**
- * Convenience wrapper over ThreadPool::global().
- *
- * Falls back to a plain loop for small counts where the dispatch
- * overhead would dominate.
- */
-void parallelFor(std::size_t count,
-                 const std::function<void(std::size_t, std::size_t)> &body);
 
 } // namespace nlfm
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "common/parallel.hh"
 #include "tensor/vector_ops.hh"
 
 namespace nlfm::memo
@@ -15,74 +14,103 @@ CorrelationProbe::CorrelationProbe(const nn::RnnNetwork &network,
                                    const ProbeOptions &options)
     : network_(network), bnn_(bnn), options_(options),
       neuronCorr_(network.totalNeurons()),
-      prevOutput_(network.totalNeurons(), 0.f),
-      hasPrev_(network.totalNeurons(), 0),
       deltaHistogram_(options.deltaBins, 0.0, options.deltaCeiling)
 {
     nlfm_assert(bnn != nullptr, "probe requires the binarized mirror");
 }
 
 void
-CorrelationProbe::beginSequence()
+CorrelationProbe::beginBatch(std::size_t total_sequences)
 {
-    std::fill(hasPrev_.begin(), hasPrev_.end(), 0);
+    slots_ = total_sequences;
+    prevOutput_.assign(network_.totalNeurons() * slots_, 0.f);
+    hasPrev_.assign(network_.totalNeurons() * slots_, 0);
 }
 
 void
-CorrelationProbe::evaluateGate(const nn::GateInstance &instance,
-                               const nn::GateParams &params,
-                               std::span<const float> x,
-                               std::span<const float> h,
-                               std::span<float> preact)
+CorrelationProbe::evaluateGateBatch(const nn::GateInstance &instance,
+                                    const nn::GateParams &params,
+                                    const tensor::Matrix &x,
+                                    const tensor::Matrix &h,
+                                    std::span<const std::size_t> rows,
+                                    std::size_t slot_base,
+                                    tensor::Matrix &preact)
 {
-    nn::BinarizedGate &bgate = bnn_->gate(instance.instanceId);
-    bgate.binarizeInput(x, h);
+    std::lock_guard<std::mutex> lock(callMutex_);
+    const std::size_t slots = rows.size();
+    const tensor::BitMatrix &signs =
+        bnn_->gate(instance.instanceId).weights();
 
-    parallelFor(instance.neurons, [&](std::size_t begin, std::size_t end) {
-        Histogram local_hist(options_.deltaBins, 0.0,
-                             options_.deltaCeiling);
-        RunningStats local_stats;
-        PearsonAccumulator local_overall;
-        std::vector<std::pair<float, int>> local_scatter;
+    // Each live slot's binarized input, once per gate call.
+    inputs_.resize(slots);
+    inputWords_.resize(slots);
+    for (std::size_t i = 0; i < slots; ++i) {
+        if (inputs_[i].size() != signs.cols())
+            inputs_[i] = tensor::BitVector(signs.cols());
+        inputs_[i].assignConcat(x.row(rows[i]), h.row(rows[i]));
+        inputWords_[i] = inputs_[i].raw().data();
+    }
 
-        // Whole-chunk BNN outputs through the blocked probe kernel.
-        thread_local std::vector<std::int32_t> yb;
-        yb.resize(end - begin);
-        bgate.outputs(begin, end - begin, yb);
+    // Per-range measurements, merged in range order after the join.
+    struct Local
+    {
+        Histogram hist;
+        RunningStats stats;
+        PearsonAccumulator overall;
+        std::vector<std::pair<float, int>> scatter;
+        std::vector<std::int32_t> yb;
+    };
+    std::vector<Local> locals(
+        neuronRangeCount(instance, slots),
+        Local{Histogram(options_.deltaBins, 0.0, options_.deltaCeiling),
+              {}, {}, {}, {}});
 
-        for (std::size_t n = begin; n < end; ++n) {
-            const std::size_t flat = instance.neuronBase + n;
-            const float y_t = nn::evaluateNeuron(params, n, x, h);
-            const int yb_t = yb[n - begin];
-            preact[n] = y_t;
+    forEachNeuronRange(instance, slots, [&](std::size_t range,
+                                            std::size_t begin,
+                                            std::size_t end) {
+        params.wx.matvecPanel(x, rows, preact, false, begin, end);
+        params.wh.matvecPanel(h, rows, preact, true, begin, end);
+        Local &local = locals[range];
+        for (std::size_t n0 = begin; n0 < end; n0 += nn::kNeuronBlock) {
+            const std::size_t block = std::min(nn::kNeuronBlock, end - n0);
+            local.yb.resize(block * slots);
+            tensor::bnnDotPanel(signs, n0, block, inputWords_, local.yb);
+            for (std::size_t r = 0; r < block; ++r) {
+                const std::size_t flat = instance.neuronBase + n0 + r;
+                for (std::size_t i = 0; i < slots; ++i) {
+                    const float y_t = preact.row(rows[i])[n0 + r];
+                    const int yb_t = local.yb[r * slots + i];
+                    neuronCorr_[flat].add(y_t, yb_t);
+                    local.overall.add(y_t, yb_t);
 
-            neuronCorr_[flat].add(y_t, yb_t);
-            local_overall.add(y_t, yb_t);
+                    const std::size_t e = flat * slots_ + slot_base + rows[i];
+                    if (hasPrev_[e]) {
+                        const double delta = std::min(
+                            tensor::relativeDifference(y_t, prevOutput_[e]),
+                            options_.deltaCeiling);
+                        local.hist.add(delta);
+                        local.stats.add(delta);
+                    }
+                    prevOutput_[e] = y_t;
+                    hasPrev_[e] = 1;
 
-            if (hasPrev_[flat]) {
-                double delta = tensor::relativeDifference(
-                    y_t, prevOutput_[flat]);
-                delta = std::min(delta, options_.deltaCeiling);
-                local_hist.add(delta);
-                local_stats.add(delta);
+                    if (flat % options_.scatterStride == 0)
+                        local.scatter.emplace_back(y_t, yb_t);
+                }
             }
-            prevOutput_[flat] = y_t;
-            hasPrev_[flat] = 1;
-
-            if (flat % options_.scatterStride == 0)
-                local_scatter.emplace_back(y_t, yb_t);
         }
+    });
 
-        std::lock_guard<std::mutex> lock(mergeMutex_);
-        deltaHistogram_.merge(local_hist);
-        deltaStats_.merge(local_stats);
-        overallCorr_.merge(local_overall);
-        for (const auto &sample : local_scatter) {
+    for (const Local &local : locals) {
+        deltaHistogram_.merge(local.hist);
+        deltaStats_.merge(local.stats);
+        overallCorr_.merge(local.overall);
+        for (const auto &sample : local.scatter) {
             if (scatter_.size() >= options_.maxScatterSamples)
                 break;
             scatter_.push_back(sample);
         }
-    });
+    }
 }
 
 std::vector<double>

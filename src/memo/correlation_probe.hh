@@ -2,8 +2,8 @@
  * @file
  * Analysis probe behind the paper's motivation studies.
  *
- * CorrelationProbe is a GateEvaluator that computes every neuron exactly
- * (it never perturbs the network) while recording:
+ * CorrelationProbe is an evaluator that computes every neuron exactly
+ * (it never perturbs the network) while recording, per sequence slot:
  *
  *  - the relative change of each neuron's output between consecutive
  *    timesteps (Fig. 5's CDF, and the "23% average change" claim),
@@ -23,8 +23,8 @@
 
 #include "common/histogram.hh"
 #include "common/stats.hh"
+#include "nn/batch_evaluator.hh"
 #include "nn/binarized.hh"
-#include "nn/rnn_network.hh"
 
 namespace nlfm::memo
 {
@@ -43,21 +43,26 @@ struct ProbeOptions
 };
 
 /**
- * Exact evaluator with measurement side-channels.
+ * Exact evaluator with measurement side-channels. The measurements add
+ * up over every batch (or forward call) until the probe is destroyed;
+ * beginBatch only forgets each slot's previous outputs. Gate calls of
+ * concurrent chunks take turns.
  */
-class CorrelationProbe : public nn::GateEvaluator
+class CorrelationProbe : public nn::BatchGateEvaluator
 {
   public:
     CorrelationProbe(const nn::RnnNetwork &network,
                      nn::BinarizedNetwork *bnn,
                      const ProbeOptions &options = {});
 
-    void beginSequence() override;
+    void beginBatch(std::size_t total_sequences) override;
 
-    void evaluateGate(const nn::GateInstance &instance,
-                      const nn::GateParams &params,
-                      std::span<const float> x, std::span<const float> h,
-                      std::span<float> preact) override;
+    void evaluateGateBatch(const nn::GateInstance &instance,
+                           const nn::GateParams &params,
+                           const tensor::Matrix &x, const tensor::Matrix &h,
+                           std::span<const std::size_t> rows,
+                           std::size_t slot_base,
+                           tensor::Matrix &preact) override;
 
     /**
      * Per-neuron BNN/RNN correlation factors (neurons with fewer than
@@ -90,13 +95,19 @@ class CorrelationProbe : public nn::GateEvaluator
 
     std::vector<PearsonAccumulator> neuronCorr_;
     PearsonAccumulator overallCorr_;
+    // Previous output per (flat neuron, slot): index flat * slots_ + slot.
+    std::size_t slots_ = 0;
     std::vector<float> prevOutput_;
     std::vector<std::uint8_t> hasPrev_;
 
     Histogram deltaHistogram_;
     RunningStats deltaStats_;
     std::vector<std::pair<float, int>> scatter_;
-    std::mutex mergeMutex_;
+
+    std::mutex callMutex_;
+    // Binarized [x; h] of each live slot of the current call.
+    std::vector<tensor::BitVector> inputs_;
+    std::vector<const std::uint64_t *> inputWords_;
 };
 
 } // namespace nlfm::memo

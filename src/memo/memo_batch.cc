@@ -36,10 +36,11 @@ nowNs()
 }
 
 /**
- * evaluateBnnBatch scratch that a whole gate call shares: built by the
- * calling thread, then only read by the neuron ranges.
+ * Scratch that a whole gate call shares: built by the calling thread,
+ * then only read by the neuron ranges. The binarized inputs are the BNN
+ * path's.
  */
-struct BnnCallScratch
+struct CallScratch
 {
     std::vector<tensor::BitVector> inputs;
     std::vector<const std::uint64_t *> inputWords;
@@ -47,14 +48,34 @@ struct BnnCallScratch
     std::vector<const float *> hRows;
     std::vector<float *> outRows;
     std::vector<std::uint32_t> slotEntry; ///< table column of each slot
+
+    /** The live slots' input and output rows and table columns. */
+    void
+    gather(const tensor::Matrix &x, const tensor::Matrix &h,
+           tensor::Matrix &preact, std::span<const std::size_t> rows,
+           std::size_t slot_base)
+    {
+        const std::size_t slots = rows.size();
+        xRows.resize(slots);
+        hRows.resize(slots);
+        outRows.resize(slots);
+        tensor::gatherRowPointers(x, rows, xRows);
+        tensor::gatherRowPointers(h, rows, hRows);
+        tensor::gatherRowPointers(preact, rows, outRows);
+        // Hoisted out of the per-neuron decision loops: the offsets only
+        // change per gate call.
+        slotEntry.resize(slots);
+        for (std::size_t i = 0; i < slots; ++i)
+            slotEntry[i] = static_cast<std::uint32_t>(slot_base + rows[i]);
+    }
 };
 
 /**
- * evaluateBnnBatch scratch of one neuron range, written only by the
- * thread that runs the range. Line-aligned so neighbouring ranges'
- * counters never share a cache line.
+ * Scratch of one neuron range, written only by the thread that runs the
+ * range (the Oracle uses its dots and hits). Line-aligned so
+ * neighbouring ranges' counters never share a cache line.
  */
-struct alignas(kCacheLineBytes) BnnRangeScratch
+struct alignas(kCacheLineBytes) RangeScratch
 {
     std::vector<std::int32_t> ybPanel; ///< yb_t, probe block x slots
     // Each neuron of a group's missing slots, as indices and (from the
@@ -95,11 +116,42 @@ struct alignas(kCacheLineBytes) BnnRangeScratch
     }
 };
 
+/**
+ * The calling thread's call scratch. thread_local so concurrent chunks
+ * never share it and no gate call allocates once the buffers have
+ * grown. The ranges reach it only through the caller's reference: a
+ * thread_local named inside a range body would resolve to the worker
+ * thread's own copy.
+ */
+CallScratch &
+callScratch()
+{
+    thread_local CallScratch scratch;
+    return scratch;
+}
+
+/**
+ * The calling thread's scratch for a gate call split into @p ranges
+ * neuron ranges over @p slots live slots, reset; reached as callScratch
+ * is.
+ */
+std::span<RangeScratch>
+rangeScratch(std::size_t ranges, std::size_t slots)
+{
+    thread_local std::vector<RangeScratch> tls_ranges;
+    if (tls_ranges.size() < ranges)
+        tls_ranges.resize(ranges);
+    const std::span<RangeScratch> scratch(tls_ranges.data(), ranges);
+    for (RangeScratch &s : scratch)
+        s.reset(slots);
+    return scratch;
+}
+
 #if defined(__x86_64__)
 
 /** Bit j: slot 8b + j is missing for some neuron of the group. */
 unsigned
-unionBlock(const BnnRangeScratch &s, std::size_t blocks, std::size_t b)
+unionBlock(const RangeScratch &s, std::size_t blocks, std::size_t b)
 {
     unsigned bits = 0;
     for (std::size_t k = 0; k < tensor::kGroupNeurons; ++k)
@@ -119,7 +171,7 @@ unionBlock(const BnnRangeScratch &s, std::size_t blocks, std::size_t b)
  * @return the union's size when the grouped call pays, else 0
  */
 std::size_t
-groupUnion(const BnnRangeScratch &s, std::size_t slots, std::size_t misses)
+groupUnion(const RangeScratch &s, std::size_t slots, std::size_t misses)
 {
     // The union holds at least the widest neuron's misses, so most
     // groups that cannot pay are known without counting it.
@@ -141,7 +193,7 @@ groupUnion(const BnnRangeScratch &s, std::size_t slots, std::size_t misses)
  * s.column[slot].
  */
 void
-buildUnionPanel(BnnRangeScratch &s, std::size_t slots,
+buildUnionPanel(RangeScratch &s, std::size_t slots,
                 std::span<const float *const> x_rows,
                 std::span<const float *const> h_rows)
 {
@@ -360,7 +412,7 @@ struct TableRow
  * by slot either way and the masked-store commit runs.
  */
 __attribute__((always_inline)) inline void
-commitMisses(const BnnCallScratch &call, std::size_t n, const TableRow &row,
+commitMisses(const CallScratch &call, std::size_t n, const TableRow &row,
              const std::int32_t *yb_row, const std::uint32_t *miss,
              std::size_t miss_count, const std::uint8_t *miss_blocks,
              const float *forward, const float *recurrent,
@@ -402,10 +454,10 @@ commitMisses(const BnnCallScratch &call, std::size_t n, const TableRow &row,
  * panel, minus the hit slot.
  */
 __attribute__((always_inline)) inline void
-commitNeuron(const BnnCallScratch &call, const nn::GateParams &params,
+commitNeuron(const CallScratch &call, const nn::GateParams &params,
              std::size_t n, const TableRow &row, const std::int32_t *yb_row,
              const std::uint32_t *miss, std::size_t miss_count,
-             const std::uint8_t *miss_blocks, BnnRangeScratch &s)
+             const std::uint8_t *miss_blocks, RangeScratch &s)
 {
     const std::span<float> forward(s.forward.data(), miss_count);
     const std::span<float> recurrent(s.recurrent.data(), miss_count);
@@ -437,8 +489,6 @@ BatchMemoEngine::BatchMemoEngine(const nn::RnnNetwork &network,
     nlfm_assert(options.theta >= 0.0, "negative threshold");
     nlfm_assert(options.predictor != PredictorKind::Bnn || bnn != nullptr,
                 "BNN predictor requires a binarized mirror network");
-    nlfm_assert(!options.recordTrace,
-                "trace recording is a serial-engine feature");
 }
 
 void
@@ -473,7 +523,39 @@ BatchMemoEngine::resetSlot(std::size_t slot)
         slotReused_[gate * slotStride_ + slot] = 0;
         slotTotal_[gate * slotStride_ + slot] = 0;
     }
+    if (options_.recordTrace)
+        liveTrace(slot).gates.assign(gates, {});
     setSlotTheta(slot, options_.theta);
+}
+
+void
+BatchMemoEngine::startNextSequence()
+{
+    nlfm_assert(batch_ == 1, "startNextSequence: not a one-slot engine");
+    std::fill(valid_.begin(), valid_.end(), 0);
+    if (options_.recordTrace)
+        traces_.push_back(
+            {std::vector<GateStepTrace>(network_.gateInstances().size())});
+}
+
+void
+BatchMemoEngine::clearStats()
+{
+    std::fill(slotReused_.begin(), slotReused_.end(), 0);
+    std::fill(slotTotal_.begin(), slotTotal_.end(), 0);
+    traces_.clear();
+}
+
+void
+MemoEngine::beginBatch(std::size_t total_sequences)
+{
+    nlfm_assert(total_sequences == 1,
+                "MemoEngine runs one sequence per call; batches of ",
+                total_sequences, " take a BatchMemoEngine");
+    if (slotCount() == 0)
+        BatchMemoEngine::beginBatch(1);
+    else
+        startNextSequence();
 }
 
 void
@@ -610,6 +692,8 @@ BatchMemoEngine::beginBatch(std::size_t total_sequences)
     const std::size_t gates = network_.gateInstances().size();
     slotReused_.assign(gates * slotStride_, 0);
     slotTotal_.assign(gates * slotStride_, 0);
+    traces_.assign(options_.recordTrace ? batch_ : 0,
+                   {std::vector<GateStepTrace>(gates)});
 }
 
 void
@@ -625,17 +709,39 @@ BatchMemoEngine::evaluateGateBatch(const nn::GateInstance &instance,
                 "preact panel width mismatch in batch memo engine");
     nlfm_assert(batch_ > 0, "evaluateGateBatch before beginBatch");
 
+    thread_local std::vector<std::uint64_t> tls_hits;
+    tls_hits.assign(rows.size(), 0);
+    const std::span<std::uint64_t> hits = tls_hits;
     if (options_.predictor == PredictorKind::Oracle)
-        evaluateOracleBatch(instance, params, x, h, rows, slot_base,
-                            preact);
+        evaluateOracleBatch(instance, params, x, h, rows, slot_base, preact,
+                            hits);
     else
-        evaluateBnnBatch(instance, params, x, h, rows, slot_base, preact);
+        evaluateBnnBatch(instance, params, x, h, rows, slot_base, preact,
+                         hits);
 
-    // One processing step per live slot: every listed neuron slot counts
-    // toward the totals, exactly like the serial stats_.record call.
+    // One processing step per live slot: every neuron counts toward the
+    // slot's total, the reused ones toward its hits, and its trace gets
+    // the step's miss count.
     const std::size_t stat_base = instance.instanceId * slotStride_;
-    for (const std::size_t b : rows)
-        slotTotal_[stat_base + slot_base + b] += instance.neurons;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const std::size_t slot = slot_base + rows[i];
+        slotReused_[stat_base + slot] += hits[i];
+        slotTotal_[stat_base + slot] += instance.neurons;
+    }
+    if (options_.recordTrace)
+        for (std::size_t i = 0; i < rows.size(); ++i)
+            liveTrace(slot_base + rows[i])
+                .gates[instance.instanceId]
+                .misses.push_back(
+                    static_cast<std::uint32_t>(instance.neurons - hits[i]));
+}
+
+SequenceTrace &
+BatchMemoEngine::liveTrace(std::size_t slot)
+{
+    nlfm_assert(traces_.size() >= batch_,
+                "trace recording after resetStats needs a new sequence");
+    return traces_[traces_.size() - batch_ + slot];
 }
 
 void
@@ -645,53 +751,54 @@ BatchMemoEngine::evaluateOracleBatch(const nn::GateInstance &instance,
                                      const tensor::Matrix &h,
                                      std::span<const std::size_t> rows,
                                      std::size_t slot_base,
-                                     tensor::Matrix &preact)
+                                     tensor::Matrix &preact,
+                                     std::span<std::uint64_t> hits)
 {
-    const std::size_t stat_base = instance.instanceId * slotStride_;
-
+    const std::size_t slots = rows.size();
     // The Oracle always computes y_t (Eq. 9), so the whole panel goes
     // through the blocked kernel: each weight row is streamed once
-    // across every live slot. thread_local scratch: one set of reusable
-    // buffers per pool worker, no per-gate-call allocation.
-    thread_local std::vector<const float *> x_rows;
-    thread_local std::vector<const float *> h_rows;
-    thread_local std::vector<float *> out_rows;
-    thread_local std::vector<float> forward;
-    thread_local std::vector<float> recurrent;
-    x_rows.resize(rows.size());
-    h_rows.resize(rows.size());
-    out_rows.resize(rows.size());
-    forward.resize(rows.size());
-    recurrent.resize(rows.size());
-    tensor::gatherRowPointers(x, rows, x_rows);
-    tensor::gatherRowPointers(h, rows, h_rows);
-    tensor::gatherRowPointers(preact, rows, out_rows);
-    for (std::size_t n = 0; n < instance.neurons; ++n) {
-        tensor::dotLanesRows(params.wx.row(n), x_rows, forward);
-        tensor::dotLanesRows(params.wh.row(n), h_rows, recurrent);
-        const std::size_t entry_base =
-            (instance.neuronBase + n) * slotStride_;
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            const std::size_t slot = slot_base + rows[i];
-            const std::size_t entry = entry_base + slot;
-            // The same float(dotLanes + dotLanes) the serial engine's
-            // evaluateNeuron produces.
-            const float y_t = forward[i] + recurrent[i];
-            const bool reuse = oracleReuseDecision(
-                y_t, cachedOutput_[entry], valid_[entry] != 0,
-                slotThetaFp_[slot]);
-            if (reuse) {
-                // Use the stale value (Eq. 10); the entry is kept
-                // (Eq. 11).
-                out_rows[i][n] = cachedOutput_[entry];
-                ++slotReused_[stat_base + slot];
-            } else {
-                out_rows[i][n] = y_t;
-                cachedOutput_[entry] = y_t;
-                valid_[entry] = 1;
+    // across every live slot.
+    CallScratch &call = callScratch();
+    call.gather(x, h, preact, rows, slot_base);
+    const std::span<RangeScratch> range_scratch =
+        rangeScratch(neuronRangeCount(instance, slots), slots);
+
+    forEachNeuronRange(instance, slots, [&](std::size_t range,
+                                            std::size_t begin,
+                                            std::size_t end) {
+        RangeScratch &s = range_scratch[range];
+        const std::span<float> forward(s.forward.data(), slots);
+        const std::span<float> recurrent(s.recurrent.data(), slots);
+        for (std::size_t n = begin; n < end; ++n) {
+            tensor::dotLanesRows(params.wx.row(n), call.xRows, forward);
+            tensor::dotLanesRows(params.wh.row(n), call.hRows, recurrent);
+            const std::size_t entry_base =
+                (instance.neuronBase + n) * slotStride_;
+            for (std::size_t i = 0; i < slots; ++i) {
+                const std::size_t slot = call.slotEntry[i];
+                const std::size_t entry = entry_base + slot;
+                const float y_t = forward[i] + recurrent[i];
+                const bool reuse = oracleReuseDecision(
+                    y_t, cachedOutput_[entry], valid_[entry] != 0,
+                    slotThetaFp_[slot]);
+                if (reuse) {
+                    // Use the stale value (Eq. 10); the entry is kept
+                    // (Eq. 11).
+                    call.outRows[i][n] = cachedOutput_[entry];
+                    ++s.hits[i];
+                } else {
+                    call.outRows[i][n] = y_t;
+                    cachedOutput_[entry] = y_t;
+                    valid_[entry] = 1;
+                }
             }
         }
-    }
+    });
+
+    // Join: integer sums are the same in any order.
+    for (const RangeScratch &s : range_scratch)
+        for (std::size_t i = 0; i < slots; ++i)
+            hits[i] += s.hits[i];
 }
 
 void
@@ -701,7 +808,8 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
                                   const tensor::Matrix &h,
                                   std::span<const std::size_t> rows,
                                   std::size_t slot_base,
-                                  tensor::Matrix &preact)
+                                  tensor::Matrix &preact,
+                                  std::span<std::uint64_t> hits)
 {
     nn::BinarizedGate &bgate = bnn_->gate(instance.instanceId);
     const bool throttle = options_.throttle;
@@ -718,13 +826,8 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
     const std::uint64_t t_call = timed ? nowNs() : 0;
 
     // State shared by the gate call's neuron ranges, built here once and
-    // only read by them. thread_local so concurrent chunks never share
-    // it and buffers are reused across gate calls instead of
-    // reallocated. The ranges reach this thread's copy only through the
-    // locals below: a thread_local named inside the range body would
-    // resolve to the worker thread's own copy.
-    thread_local BnnCallScratch tls_call;
-    BnnCallScratch &call = tls_call;
+    // only read by them.
+    CallScratch &call = callScratch();
 
     // One input binarization per live slot per timestep (the FMU input
     // vector of each sequence); re-sized only when the gate width
@@ -742,20 +845,7 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
     // Input binarization is probe work.
     std::uint64_t probe_ns = timed ? nowNs() - t_call : 0;
 
-    call.xRows.resize(slots);
-    call.hRows.resize(slots);
-    call.outRows.resize(slots);
-    tensor::gatherRowPointers(x, rows, call.xRows);
-    tensor::gatherRowPointers(h, rows, call.hRows);
-    tensor::gatherRowPointers(preact, rows, call.outRows);
-
-    // Table offsets of each live slot, hoisted out of the per-neuron
-    // decision loop (the loop runs per neuron x slot x timestep; the
-    // offsets only change per gate call).
-    call.slotEntry.resize(slots);
-    for (std::size_t i = 0; i < slots; ++i)
-        call.slotEntry[i] =
-            static_cast<std::uint32_t>(slot_base + rows[i]);
+    call.gather(x, h, preact, rows, slot_base);
 
     const std::span<const std::uint64_t *const> input_words =
         call.inputWords;
@@ -807,14 +897,8 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
 
     // Per-range scratch, sized here so the ranges only write buffer
     // contents.
-    const std::size_t ranges = neuronRangeCount(instance, slots);
-    thread_local std::vector<BnnRangeScratch> tls_ranges;
-    if (tls_ranges.size() < ranges)
-        tls_ranges.resize(ranges);
-    const std::span<BnnRangeScratch> range_scratch(tls_ranges.data(),
-                                                   ranges);
-    for (BnnRangeScratch &scratch : range_scratch)
-        scratch.reset(slots);
+    const std::span<RangeScratch> range_scratch =
+        rangeScratch(neuronRangeCount(instance, slots), slots);
 
     const auto table_row = [&](std::size_t n) {
         const std::size_t base = (instance.neuronBase + n) * slotStride_;
@@ -826,7 +910,7 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
 
     // Probe panel: all live slots of a block of neurons per kernel
     // invocation, streaming the contiguous sign matrix block by block.
-    const auto probe = [&](BnnRangeScratch &s, std::size_t n0,
+    const auto probe = [&](RangeScratch &s, std::size_t n0,
                            std::size_t block) {
         const std::uint64_t t_mark = timed ? nowNs() : 0;
         tensor::bnnDotPanel(bgate.weights(), n0, block, input_words,
@@ -854,7 +938,7 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
         forEachNeuronRange(instance, slots, [&](std::size_t range,
                                                 std::size_t begin,
                                                 std::size_t end) {
-            BnnRangeScratch &s = range_scratch[range];
+            RangeScratch &s = range_scratch[range];
             std::uint64_t t_mark = 0;
             for (std::size_t n0 = begin; n0 < end;
                  n0 += kProbeNeuronBlock) {
@@ -946,7 +1030,7 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
     forEachNeuronRange(instance, slots, [&](std::size_t range,
                                             std::size_t begin,
                                             std::size_t end) {
-        BnnRangeScratch &s = range_scratch[range];
+        RangeScratch &s = range_scratch[range];
         std::uint64_t t_mark = 0;
         for (std::size_t n0 = begin; n0 < end; n0 += kProbeNeuronBlock) {
             const std::size_t block = std::min(kProbeNeuronBlock, end - n0);
@@ -1027,13 +1111,11 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
     // Join. Every neuron of the gate counts into one reuse counter per
     // slot, so each range counted its own hits; integer sums are the
     // same in any order.
-    std::uint64_t *reused_row =
-        slotReused_.data() + instance.instanceId * slotStride_;
     std::uint64_t decide_ns = 0;
     std::uint64_t commit_ns = 0;
-    for (const BnnRangeScratch &s : range_scratch) {
+    for (const RangeScratch &s : range_scratch) {
         for (std::size_t i = 0; i < slots; ++i)
-            reused_row[slot_entry[i]] += s.hits[i];
+            hits[i] += s.hits[i];
         probe_ns += s.probeNs;
         decide_ns += s.decideNs;
         commit_ns += s.commitNs;

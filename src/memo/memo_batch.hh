@@ -1,27 +1,30 @@
 /// @file
-/// Batch mode of the fuzzy memoization engine.
+/// The fuzzy memoization engines.
 ///
-/// BatchMemoEngine is the BatchGateEvaluator counterpart of MemoEngine:
-/// one engine carries the memo table of a whole batch, with per-neuron-
-/// per-sequence entries (y_m, yb_m, delta_b, valid) laid out structure-of-
-/// arrays with the sequence slot as the minor dimension, so a neuron's
-/// weight row is read once and its decision loop walks contiguous slot
-/// entries.
+/// BatchMemoEngine is the BatchGateEvaluator that carries the memo table
+/// of a whole batch, with per-neuron-per-sequence entries (y_m, yb_m,
+/// delta_b, valid) laid out structure-of-arrays with the sequence slot
+/// as the minor dimension, so a neuron's weight row is read once and its
+/// decision loop walks contiguous slot entries. The decisions themselves
+/// (Eqs. 9-14) live in memo/memo_decision.hh.
 ///
-/// Every sequence slot evolves exactly as a serial MemoEngine would evolve
-/// for that sequence alone (shared decision kernels, memo/memo_decision.hh)
+/// Every sequence slot evolves exactly as it would in a batch of its own
 /// — including independent per-sequence throttling state — so outputs and
-/// aggregated ReuseStats match the serial per-sequence run bit for bit,
-/// for any chunk size and worker count.
+/// aggregated ReuseStats do not depend on the batch around a sequence,
+/// its chunk size or the worker count. tests/reference_test pins a
+/// one-sequence run against an independent scalar transcription of the
+/// equations.
 ///
-/// Two usage modes share the same tables:
+/// Three usage modes share the same tables:
 ///
 ///  - **Closed batch** (RnnNetwork::forwardBatch): beginBatch() cold-starts
 ///    every slot, the whole batch runs to completion, stats() reduces the
 ///    per-slot counters.
-///  - **Serving** (serve::Server): beginBatch() sizes the table to the slot
-///    pool once, then admitSlot()/resetSlot() recycle individual slots as
-///    sequences complete and new requests are admitted mid-flight, each
+///  - **One sequence** (RnnNetwork::forward): MemoEngine, a one-slot
+///    engine whose counters and traces add up over forward calls.
+///  - **Serving** (serve::FleetServer): beginBatch() sizes the table to the
+///    slot pool once, then admitSlot()/resetSlot() recycle individual slots
+///    as sequences complete and new requests are admitted mid-flight, each
 ///    with its own reuse threshold (setSlotTheta). A recycled slot starts
 ///    as cold as a fresh beginBatch — no memo state crosses tenants.
 
@@ -31,8 +34,11 @@
 #include <atomic>
 
 #include "common/aligned.hh"
-#include "memo/memo_engine.hh"
+#include "common/fixed_point.hh"
+#include "memo/memo_options.hh"
+#include "memo/reuse_stats.hh"
 #include "nn/batch_evaluator.hh"
+#include "nn/binarized.hh"
 
 namespace nlfm::memo
 {
@@ -81,10 +87,9 @@ class BatchMemoEngine : public nn::BatchGateEvaluator
 {
   public:
     /// @param network the full-precision network (must outlive the engine)
-    /// @param bnn     binarized mirror; required for the BNN predictor
-    /// @param options same knobs as the serial engine; recordTrace is a
-    ///                serial-path feature and must be off. options.theta is
-    ///                the default per-slot threshold.
+    /// @param bnn     binarized mirror; required for the BNN predictor,
+    ///                may be null for the Oracle
+    /// @param options options.theta is the default per-slot threshold
     BatchMemoEngine(const nn::RnnNetwork &network,
                     nn::BinarizedNetwork *bnn, const MemoOptions &options);
 
@@ -100,9 +105,10 @@ class BatchMemoEngine : public nn::BatchGateEvaluator
     std::size_t slotCount() const { return batch_; }
 
     /// Cold-start one slot: invalidate its memo entries, zero its reuse
-    /// counters, and restore the default theta. The per-tenant isolation
-    /// primitive of the serving path — after resetSlot the slot is
-    /// indistinguishable from one freshly sized by beginBatch.
+    /// counters, clear its trace and restore the default theta. The
+    /// per-tenant isolation primitive of the serving path — after
+    /// resetSlot the slot is indistinguishable from one freshly sized by
+    /// beginBatch.
     ///
     /// Must not run concurrently with evaluateGateBatch calls touching
     /// the same slot (the serving driver admits between ticks, so this
@@ -151,6 +157,14 @@ class BatchMemoEngine : public nn::BatchGateEvaluator
     /// Reuse fraction of one sequence slot (since its last reset).
     double slotReuseFraction(std::size_t slot) const;
 
+    /// With options.recordTrace, one SequenceTrace per sequence: per gate
+    /// instance, the neurons evaluated (missed) at each of its gate
+    /// calls, in the cell's processing order — the input of the E-PUR
+    /// timing and energy models. The last slotCount() entries are the
+    /// live slots', in slot order (in a closed batch, all of them);
+    /// beginBatch and resetSlot clear them. Empty without recordTrace.
+    const std::vector<SequenceTrace> &traces() const { return traces_; }
+
     /// Attach (or detach, with nullptr — the default) the phase-time
     /// sink. Null means ZERO timing overhead: the hot loop's clock
     /// reads sit behind one branch on this pointer. Enabled, the BNN
@@ -160,18 +174,35 @@ class BatchMemoEngine : public nn::BatchGateEvaluator
     /// The sink must outlive the engine or be detached first.
     void setPhaseSink(GatePhaseTimes *sink) { phaseSink_ = sink; }
 
+  protected:
+    /// Start the next sequence in slot 0 of a one-slot engine: invalidate
+    /// its memo entries, as resetSlot does, but keep its counters, theta
+    /// and earlier traces; with recordTrace, append the trace it records
+    /// into from now on.
+    void startNextSequence();
+
+    /// Zero every slot's reuse counters and drop every trace.
+    void clearStats();
+
   private:
+    /// The trace @p slot records into (recordTrace).
+    SequenceTrace &liveTrace(std::size_t slot);
+
+    // Both add each live slot's reused neurons of the call to
+    // hits[live slot position].
     void evaluateOracleBatch(const nn::GateInstance &instance,
                              const nn::GateParams &params,
                              const tensor::Matrix &x,
                              const tensor::Matrix &h,
                              std::span<const std::size_t> rows,
-                             std::size_t slot_base, tensor::Matrix &preact);
+                             std::size_t slot_base, tensor::Matrix &preact,
+                             std::span<std::uint64_t> hits);
     void evaluateBnnBatch(const nn::GateInstance &instance,
                           const nn::GateParams &params,
                           const tensor::Matrix &x, const tensor::Matrix &h,
                           std::span<const std::size_t> rows,
-                          std::size_t slot_base, tensor::Matrix &preact);
+                          std::size_t slot_base, tensor::Matrix &preact,
+                          std::span<std::uint64_t> hits);
 
     const nn::RnnNetwork &network_;
     nn::BinarizedNetwork *bnn_;
@@ -223,6 +254,26 @@ class BatchMemoEngine : public nn::BatchGateEvaluator
     // slot.
     CacheAlignedVector<std::uint64_t> slotReused_;
     CacheAlignedVector<std::uint64_t> slotTotal_;
+
+    std::vector<SequenceTrace> traces_;
+};
+
+/// The one-sequence engine behind RnnNetwork::forward: a BatchMemoEngine
+/// of one slot whose stats() and traces() add up over forward calls
+/// until resetStats(). Every call starts the slot cold (the scheme
+/// operates per input sequence) and, with recordTrace, appends that
+/// sequence's trace.
+class MemoEngine : public BatchMemoEngine
+{
+  public:
+    using BatchMemoEngine::BatchMemoEngine;
+
+    /// Cold-start the slot for the next sequence, keeping the counters
+    /// and earlier traces; @p total_sequences must be 1.
+    void beginBatch(std::size_t total_sequences) override;
+
+    /// Zero the reuse counters and drop every trace.
+    void resetStats() { clearStats(); }
 };
 
 } // namespace nlfm::memo

@@ -1,11 +1,9 @@
 /**
  * @file
- * The per-neuron reuse decision, shared by the serial MemoEngine and the
- * batched BatchMemoEngine.
- *
- * Keeping Eqs. 9-14 in one place guarantees the two execution paths make
- * bit-identical decisions: the batch path is a scheduling change, not a
- * numerical one.
+ * The per-neuron reuse decision of BatchMemoEngine (Eqs. 9-14), in its
+ * scalar form: the decision loops of every panel that the AVX-512
+ * decide does not cover, and that decide's tail, call these, so its
+ * vector form has one definition to match.
  */
 
 #ifndef NLFM_MEMO_MEMO_DECISION_HH

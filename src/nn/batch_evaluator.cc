@@ -68,8 +68,8 @@ DirectBatchEvaluator::evaluateGateBatch(const GateInstance &instance,
                 "preact panel width mismatch for gate instance ",
                 instance.instanceId);
     // Two panel passes per run of neurons: preact = Wx * x_b, then
-    // += Wh * h_b. Per row this is the same float(dot + dot) the serial
-    // DirectEvaluator computes, whichever thread evaluates the neuron.
+    // += Wh * h_b. Per row this is float(dot + dot), whichever thread
+    // evaluates the neuron.
     forEachNeuronRange(instance, rows.size(),
                        [&](std::size_t, std::size_t begin, std::size_t end) {
                            params.wx.matvecPanel(x, rows, preact, false,

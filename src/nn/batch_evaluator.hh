@@ -1,16 +1,18 @@
 /**
  * @file
- * Batched counterpart of the GateEvaluator seam.
+ * The gate-evaluator seam: the one stepping path of every network.
  *
- * The serial seam (nn/gate.hh) evaluates one gate for one sequence per
- * call; the batched seam evaluates one gate for a whole panel of
- * sequences, so implementations can stream each neuron's weight row
- * across the batch instead of re-reading all weights per sequence.
+ * An evaluator fills one gate's pre-activations for a whole panel of
+ * sequences per call, so implementations can stream each neuron's
+ * weight row across the panel instead of re-reading all weights per
+ * sequence. A one-sequence forward (RnnNetwork::forward) is a panel of
+ * one row.
  *
- * Contract mirroring the serial seam: for every active row b the filled
- * pre-activations must be bitwise identical to what the corresponding
- * serial evaluator would produce for sequence b alone. Rows not listed in
- * @p rows (finished sequences) must be left untouched.
+ * Contract: for every active row b the filled pre-activations depend
+ * only on sequence b's inputs and state, so they are bitwise identical
+ * to what the evaluator produces for sequence b in a panel of its own.
+ * Rows not listed in @p rows (finished sequences) must be left
+ * untouched.
  */
 
 #ifndef NLFM_NN_BATCH_EVALUATOR_HH
@@ -223,8 +225,8 @@ class BatchGateEvaluator
 };
 
 /**
- * Baseline batched evaluator: exact full-precision panel products,
- * bitwise identical per row to DirectEvaluator.
+ * Baseline evaluator: exact full-precision panel products, per row
+ * float(dotLanes(Wx[n], x) + dotLanes(Wh[n], h)) whatever the panel.
  */
 class DirectBatchEvaluator : public BatchGateEvaluator
 {

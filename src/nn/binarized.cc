@@ -28,38 +28,9 @@ packRows(tensor::BitMatrix &bits, const GateParams &params)
 } // namespace
 
 BinarizedGate::BinarizedGate(const GateParams &params)
-    : weights_(params.neurons(), params.xSize() + params.hSize()),
-      input_(params.xSize() + params.hSize())
+    : weights_(params.neurons(), params.xSize() + params.hSize())
 {
     packRows(weights_, params);
-}
-
-void
-BinarizedGate::binarizeInput(std::span<const float> x,
-                             std::span<const float> h)
-{
-    input_.assignConcat(x, h);
-}
-
-int
-BinarizedGate::output(std::size_t neuron) const
-{
-    std::int32_t out = 0;
-    tensor::bnnDotRows(weights_, neuron, 1, input_, {&out, 1});
-    return out;
-}
-
-void
-BinarizedGate::outputs(std::span<std::int32_t> out) const
-{
-    outputs(0, weights_.rows(), out);
-}
-
-void
-BinarizedGate::outputs(std::size_t begin, std::size_t count,
-                       std::span<std::int32_t> out) const
-{
-    tensor::bnnDotRows(weights_, begin, count, input_, out);
 }
 
 void

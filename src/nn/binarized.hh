@@ -34,38 +34,17 @@ class BinarizedGate
     std::size_t neurons() const { return weights_.rows(); }
     std::size_t inputBits() const { return weights_.cols(); }
 
-    /**
-     * Binarize the gate input for the current timestep. Must be called
-     * before output()/outputs(); not thread-safe against concurrent
-     * refreshes, but outputs() for distinct neuron ranges may then run
-     * in parallel.
-     */
-    void binarizeInput(std::span<const float> x, std::span<const float> h);
-
-    /** BNN output of @p neuron for the last binarized input (Eq. 8). */
-    int output(std::size_t neuron) const;
-
-    /**
-     * Whole-gate panel evaluation: out[n] = BNN output of neuron n for
-     * the last binarized input, through the blocked probe kernel (the
-     * input word stream is loaded once per block of weight rows instead
-     * of once per neuron).
-     */
-    void outputs(std::span<std::int32_t> out) const;
-
-    /** Panel evaluation of the neuron range [begin, begin + count). */
-    void outputs(std::size_t begin, std::size_t count,
-                 std::span<std::int32_t> out) const;
-
     /** Re-pack after the float weights changed (e.g. after training). */
     void refresh(const GateParams &params);
 
+    /**
+     * The packed sign rows; tensor::bnnDotPanel / bnnDotRows evaluate
+     * them against binarized inputs (BitVector::assignConcat of x, h).
+     */
     const tensor::BitMatrix &weights() const { return weights_; }
-    const tensor::BitVector &input() const { return input_; }
 
   private:
     tensor::BitMatrix weights_;
-    tensor::BitVector input_;
 };
 
 /**

@@ -1,5 +1,7 @@
 #include "nn/brc_cell.hh"
 
+#include <cmath>
+
 #include "common/logging.hh"
 #include "nn/activations.hh"
 
@@ -14,49 +16,6 @@ BrcCell::BrcCell(std::size_t x_size, std::size_t hidden)
         gate.wx = tensor::Matrix(hidden, x_size);
         gate.wh = tensor::Matrix(hidden, hidden);
         gate.bias.assign(hidden, 0.f);
-    }
-    for (auto &buffer : preact_)
-        buffer.assign(hidden, 0.f);
-    modHidden_.assign(hidden, 0.f);
-}
-
-CellState
-BrcCell::makeState() const
-{
-    CellState state;
-    state.h.assign(hidden_, 0.f);
-    return state;
-}
-
-void
-BrcCell::step(std::span<const float> x, CellState &state,
-              GateEvaluator &eval)
-{
-    nlfm_assert(x.size() == xSize_, "BRC step: x width mismatch");
-    nlfm_assert(state.h.size() == hidden_, "BRC step: state shape mismatch");
-    nlfm_assert(instances_.size() == 3, "cell instances not assigned");
-
-    eval.evaluateGate(instances_[BrcMod], gates_[BrcMod], x, state.h,
-                      preact_[BrcMod]);
-    eval.evaluateGate(instances_[BrcUpdate], gates_[BrcUpdate], x, state.h,
-                      preact_[BrcUpdate]);
-
-    // a_t modulates the recurrent input of the candidate.
-    for (std::size_t n = 0; n < hidden_; ++n) {
-        const float a_t =
-            1.f + tanhAct(preact_[BrcMod][n] + gates_[BrcMod].bias[n]);
-        modHidden_[n] = a_t * state.h[n];
-    }
-
-    eval.evaluateGate(instances_[BrcCandidate], gates_[BrcCandidate], x,
-                      modHidden_, preact_[BrcCandidate]);
-
-    for (std::size_t n = 0; n < hidden_; ++n) {
-        const float c_t =
-            sigmoid(preact_[BrcUpdate][n] + gates_[BrcUpdate].bias[n]);
-        const float g_t = tanhAct(preact_[BrcCandidate][n] +
-                                  gates_[BrcCandidate].bias[n]);
-        state.h[n] = c_t * state.h[n] + (1.f - c_t) * g_t;
     }
 }
 
@@ -86,9 +45,9 @@ BrcCell::stepBatch(const tensor::Matrix &x, std::span<const std::size_t> rows,
                            state.h, rows, slot_base,
                            state.preact[BrcUpdate]);
 
-    // a_t modulates the recurrent input of the candidate (same
-    // expressions as step(), per live row). Both elementwise loops
-    // update only their range's columns, whichever thread runs it.
+    // a_t modulates the recurrent input of the candidate, per live row.
+    // Both elementwise loops update only their range's columns,
+    // whichever thread runs it.
     eval.forEachCellRange(
         instances_[BrcMod], rows.size(),
         [&](std::size_t, std::size_t begin, std::size_t end) {
@@ -120,7 +79,7 @@ BrcCell::stepBatch(const tensor::Matrix &x, std::span<const std::size_t> rows,
                         sigmoid(pre_c[n] + gates_[BrcUpdate].bias[n]);
                     const float g_t = tanhAct(pre_g[n] +
                                               gates_[BrcCandidate].bias[n]);
-                    h_row[n] = c_t * h_row[n] + (1.f - c_t) * g_t;
+                    h_row[n] = std::fma(c_t, h_row[n], (1.f - c_t) * g_t);
                 }
             }
         });

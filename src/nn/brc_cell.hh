@@ -25,7 +25,7 @@ namespace nlfm::nn
  * term is the diagonal product a . h; following the GRU idiom here the
  * modulation is folded into the candidate gate's recurrent *operand*
  * (a . h_{t-1} passed as h through the full Wgh), which keeps the
- * Wx x + Wh h GateEvaluator seam intact. Because a >= 0,
+ * Wx x + Wh h evaluator seam intact. Because a >= 0,
  * sign(a . h) == sign(h), so the BNN mirror sees the same binarized
  * recurrent input for all three gates — same argument as the GRU's
  * reset modulation.
@@ -40,21 +40,11 @@ class BrcCell : public RnnCell
 
     CellType type() const override { return CellType::Brc; }
 
-    CellState makeState() const override;
-
-    void step(std::span<const float> x, CellState &state,
-              GateEvaluator &eval) override;
-
     BatchCellState makeBatchState(std::size_t batch) const override;
 
     void stepBatch(const tensor::Matrix &x,
                    std::span<const std::size_t> rows, std::size_t slot_base,
                    BatchCellState &state, BatchGateEvaluator &eval) override;
-
-  private:
-    // Per-step scratch: pre-activations of the three gates + a.h buffer.
-    std::vector<float> preact_[3];
-    std::vector<float> modHidden_;
 };
 
 } // namespace nlfm::nn

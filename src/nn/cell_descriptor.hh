@@ -66,8 +66,9 @@ struct CellDescriptor
     std::span<const GateSpec> gates;
     /**
      * Named recurrent-state slots. Slot 0 is always the hidden/output
-     * vector (CellState::h); the rest map 1:1 onto CellState::extra
-     * (LSTM: {"h", "c"}; GRU/BRC: {"h"}; rate RNN: {"r"}).
+     * panel (BatchCellState::h); the rest map 1:1 onto
+     * BatchCellState::extra (LSTM: {"h", "c"}; GRU/BRC: {"h"}; rate
+     * RNN: {"r"}).
      */
     std::span<const char *const> stateSlots;
     /** Construct a cell of this family for one layer/direction. */
@@ -76,7 +77,7 @@ struct CellDescriptor
     /** BPTT kernel for BpttTrainer (never null; all families train). */
     const train::CellBpttKernel &(*bpttKernel)();
 
-    /** Number of state slots beyond h (CellState::extra size). */
+    /** Number of state slots beyond h (BatchCellState::extra size). */
     std::size_t
     extraStateSlots() const
     {

@@ -1,36 +1,9 @@
 #include "nn/gate.hh"
 
-#include "common/logging.hh"
-#include "common/parallel.hh"
 #include "nn/cell_descriptor.hh"
-#include "tensor/vector_ops.hh"
 
 namespace nlfm::nn
 {
-
-float
-evaluateNeuron(const GateParams &params, std::size_t neuron,
-               std::span<const float> x, std::span<const float> h)
-{
-    return tensor::dotPair(params.wx.row(neuron), x,
-                           params.wh.row(neuron), h);
-}
-
-void
-DirectEvaluator::evaluateGate(const GateInstance &instance,
-                              const GateParams &params,
-                              std::span<const float> x,
-                              std::span<const float> h,
-                              std::span<float> preact)
-{
-    nlfm_assert(preact.size() == instance.neurons,
-                "preact size mismatch for gate instance ",
-                instance.instanceId);
-    parallelFor(instance.neurons, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t n = begin; n < end; ++n)
-            preact[n] = evaluateNeuron(params, n, x, h);
-    });
-}
 
 std::size_t
 RnnConfig::totalWeights() const

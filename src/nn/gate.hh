@@ -1,19 +1,18 @@
 /**
  * @file
- * Gate parameters, gate-instance identity, and the evaluator seam.
+ * Gate parameters and gate-instance identity.
  *
  * A "gate" is one single-layer fully-connected network inside a cell
  * (paper §2.1.2). Every neuron evaluation in the whole network flows
- * through a GateEvaluator, which is the seam where the fuzzy memoization
- * engine (src/memo) intercepts computation. The plain DirectEvaluator
- * reproduces the unmodified network.
+ * through a BatchGateEvaluator (nn/batch_evaluator.hh), the seam where
+ * the fuzzy memoization engine (src/memo) intercepts computation; the
+ * plain DirectBatchEvaluator reproduces the unmodified network.
  */
 
 #ifndef NLFM_NN_GATE_HH
 #define NLFM_NN_GATE_HH
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "nn/rnn_config.hh"
@@ -61,56 +60,6 @@ struct GateInstance
     std::size_t hSize = 0;
     std::size_t neuronBase = 0;
 };
-
-/**
- * Strategy for computing a gate's pre-activation outputs.
- *
- * The network calls evaluateGate once per gate per timestep with the
- * current forward input @p x and recurrent input @p h. Implementations
- * fill @p preact with, for each neuron n:
- *
- *     preact[n] ~= Wx[n]·x + Wh[n]·h
- *
- * The DirectEvaluator computes this exactly; the memoization engine may
- * substitute a cached value (that is the whole point). Bias, peepholes
- * and activation functions are applied by the cell afterwards — they
- * model E-PUR's MU, which runs regardless of memoization (§3.3.2).
- */
-class GateEvaluator
-{
-  public:
-    virtual ~GateEvaluator() = default;
-
-    /** Reset any per-sequence state; called before the first timestep. */
-    virtual void beginSequence() {}
-
-    /** Compute (or predict) the pre-activation vector of one gate. */
-    virtual void evaluateGate(const GateInstance &instance,
-                              const GateParams &params,
-                              std::span<const float> x,
-                              std::span<const float> h,
-                              std::span<float> preact) = 0;
-};
-
-/**
- * Baseline evaluator: full-precision dot products for every neuron,
- * exactly the unmodified E-PUR datapath.
- */
-class DirectEvaluator : public GateEvaluator
-{
-  public:
-    void evaluateGate(const GateInstance &instance,
-                      const GateParams &params, std::span<const float> x,
-                      std::span<const float> h,
-                      std::span<float> preact) override;
-};
-
-/**
- * Compute one neuron's full-precision pre-activation:
- * Wx[n]·x + Wh[n]·h.
- */
-float evaluateNeuron(const GateParams &params, std::size_t neuron,
-                     std::span<const float> x, std::span<const float> h);
 
 } // namespace nlfm::nn
 

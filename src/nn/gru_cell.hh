@@ -20,7 +20,7 @@ namespace nlfm::nn
  *   h_t = (1 - z_t) . h_{t-1} + z_t . g_t
  *
  * The candidate gate's recurrent operand is the reset-modulated hidden
- * state; its GateEvaluator call receives that vector as @p h. Because
+ * state; its evaluator call receives that panel as @p h. Because
  * sigma(r) > 0, sign(r . h) == sign(h), so the BNN mirror sees the same
  * binarized recurrent input for all three gates.
  */
@@ -31,21 +31,11 @@ class GruCell : public RnnCell
 
     CellType type() const override { return CellType::Gru; }
 
-    CellState makeState() const override;
-
-    void step(std::span<const float> x, CellState &state,
-              GateEvaluator &eval) override;
-
     BatchCellState makeBatchState(std::size_t batch) const override;
 
     void stepBatch(const tensor::Matrix &x,
                    std::span<const std::size_t> rows, std::size_t slot_base,
                    BatchCellState &state, BatchGateEvaluator &eval) override;
-
-  private:
-    // Per-step scratch: pre-activations of the three gates + r.h buffer.
-    std::vector<float> preact_[3];
-    std::vector<float> resetHidden_;
 };
 
 } // namespace nlfm::nn

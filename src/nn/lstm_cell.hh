@@ -10,32 +10,16 @@
 #include <vector>
 
 #include "nn/batch_evaluator.hh"
-#include "nn/gate.hh"
 
 namespace nlfm::nn
 {
 
 /**
- * Recurrent state carried between timesteps, shaped by the cell's
- * descriptor: h is state slot 0 (the hidden/output vector every family
- * has); extra[i] is descriptor state slot i+1 (LSTM: extra[0] = c_t;
- * GRU/BRC/rate RNN carry no extra slots).
- */
-struct CellState
-{
-    std::vector<float> h;
-    std::vector<std::vector<float>> extra;
-
-    /** Zero the state (start of a sequence). */
-    void reset();
-};
-
-/**
- * Common base for the two cell families.
+ * Common base for the cell families.
  *
  * A cell owns the parameters of its gates plus the GateInstance identities
- * assigned by the enclosing network, and computes one timestep through a
- * caller-supplied GateEvaluator.
+ * assigned by the enclosing network, and computes one timestep of a panel
+ * of sequences through a caller-supplied BatchGateEvaluator.
  */
 class RnnCell
 {
@@ -59,13 +43,6 @@ class RnnCell
     void setInstances(std::vector<GateInstance> instances);
     const std::vector<GateInstance> &instances() const { return instances_; }
 
-    /** Allocate a zeroed state of the right shape. */
-    virtual CellState makeState() const = 0;
-
-    /** Advance one timestep: consume x, update state in place. */
-    virtual void step(std::span<const float> x, CellState &state,
-                      GateEvaluator &eval) = 0;
-
     /**
      * Allocate a zeroed batch state (state-slot panels plus per-gate
      * scratch) for @p batch sequence slots. States are owned by the
@@ -77,8 +54,11 @@ class RnnCell
     /**
      * Advance one timestep for every row in @p rows of the panel @p x.
      * Rows not listed (finished sequences) keep their state untouched.
-     * Per row the update is bitwise identical to step() on that
-     * sequence alone. Every elementwise loop runs through
+     * A row's update reads only that row, so each sequence evolves
+     * bitwise alike in a panel of one or of many. Multiply-adds are
+     * written as std::fma, so every build rounds them alike, whatever
+     * it would contract (tests/reference pins the rounding). Every
+     * elementwise loop runs through
      * eval.forEachCellRange with one of the cell's gate instances, so
      * in the one-chunk schedule it splits over the pool with the gate
      * calls around it; a range reads and writes only its own columns.
@@ -105,7 +85,7 @@ class RnnCell
  *   o_t = sigma(Wox x_t + Woh h_{t-1} + po . c_t    + bo)    (Eq. 5)
  *   h_t = o_t . phi(c_t)                                     (Eq. 6)
  *
- * With peepholes disabled the pi/pf/po terms vanish. The GateEvaluator
+ * With peepholes disabled the pi/pf/po terms vanish. The evaluator
  * supplies only the two dot products per neuron; bias, peephole and
  * activation model E-PUR's MU and always execute.
  */
@@ -117,11 +97,6 @@ class LstmCell : public RnnCell
     CellType type() const override { return CellType::Lstm; }
     bool hasPeepholes() const { return peepholes_; }
 
-    CellState makeState() const override;
-
-    void step(std::span<const float> x, CellState &state,
-              GateEvaluator &eval) override;
-
     BatchCellState makeBatchState(std::size_t batch) const override;
 
     void stepBatch(const tensor::Matrix &x,
@@ -130,8 +105,6 @@ class LstmCell : public RnnCell
 
   private:
     bool peepholes_;
-    // Per-step scratch: pre-activations of the four gates.
-    std::vector<float> preact_[4];
 };
 
 } // namespace nlfm::nn

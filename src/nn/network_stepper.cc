@@ -87,7 +87,7 @@ NetworkStepper::step(std::span<const std::size_t> rows,
     nlfm_assert(rows.back() < slots_, "step: row out of range");
     // Layer l reads layer l-1's hidden panel *after* this step — within
     // one call the stack advances top to bottom in dependency order, so
-    // slot s sees exactly the per-step data flow of the serial forward.
+    // slot s sees exactly the per-step data flow of a closed batch.
     const tensor::Matrix *x = &input_;
     for (std::size_t l = 0; l < network_.layerCount(); ++l) {
         network_.layer(l).cell(0).stepBatch(*x, rows, /*slot_base=*/0,

@@ -29,34 +29,6 @@ RateRnnCell::RateRnnCell(std::size_t x_size, std::size_t hidden)
             a *= ratio;
         }
     }
-    preact_.assign(hidden, 0.f);
-}
-
-CellState
-RateRnnCell::makeState() const
-{
-    CellState state;
-    state.h.assign(hidden_, 0.f);
-    return state;
-}
-
-void
-RateRnnCell::step(std::span<const float> x, CellState &state,
-                  GateEvaluator &eval)
-{
-    nlfm_assert(x.size() == xSize_, "rate-RNN step: x width mismatch");
-    nlfm_assert(state.h.size() == hidden_,
-                "rate-RNN step: state shape mismatch");
-    nlfm_assert(instances_.size() == 1, "cell instances not assigned");
-
-    const auto &gate = gates_[RateDrive];
-    eval.evaluateGate(instances_[RateDrive], gate, x, state.h, preact_);
-
-    for (std::size_t n = 0; n < hidden_; ++n) {
-        const float d_t = tanhAct(preact_[n] + gate.bias[n]);
-        const float a = gate.peephole[n];
-        state.h[n] = (1.f - a) * state.h[n] + a * d_t;
-    }
 }
 
 BatchCellState
@@ -83,8 +55,8 @@ RateRnnCell::stepBatch(const tensor::Matrix &x,
     eval.evaluateGateBatch(instances_[RateDrive], gate, x, state.h, rows,
                            slot_base, state.preact[RateDrive]);
 
-    // Leak update per live row (same expressions as step()); each range
-    // of neurons updates only its own columns.
+    // Leak update per live row; each range of neurons updates only its
+    // own columns.
     eval.forEachCellRange(
         instances_[RateDrive], rows.size(),
         [&](std::size_t, std::size_t begin, std::size_t end) {
@@ -94,7 +66,7 @@ RateRnnCell::stepBatch(const tensor::Matrix &x,
                 for (std::size_t n = begin; n < end; ++n) {
                     const float d_t = tanhAct(pre[n] + gate.bias[n]);
                     const float a = gate.peephole[n];
-                    h_row[n] = (1.f - a) * h_row[n] + a * d_t;
+                    h_row[n] = std::fma(1.f - a, h_row[n], a * d_t);
                 }
             }
         });

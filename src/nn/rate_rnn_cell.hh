@@ -21,7 +21,7 @@ namespace nlfm::nn
  *   d_t = phi(Wdx x_t + Wdh r_{t-1} + bd)        (drive)
  *   r_t = (1 - a) . r_{t-1} + a . d_t
  *
- * One gate ("drive"), one state slot (r, stored as CellState::h). The
+ * One gate ("drive"), one state slot (r, stored as BatchCellState::h). The
  * per-neuron leak a lives in the drive gate's peephole storage
  * (GateAux::Leak): it is set by the constructor on a geometric grid
  * from 1.0 down to 0.1 — a spread of effective time constants, the
@@ -36,20 +36,11 @@ class RateRnnCell : public RnnCell
 
     CellType type() const override { return CellType::RateRnn; }
 
-    CellState makeState() const override;
-
-    void step(std::span<const float> x, CellState &state,
-              GateEvaluator &eval) override;
-
     BatchCellState makeBatchState(std::size_t batch) const override;
 
     void stepBatch(const tensor::Matrix &x,
                    std::span<const std::size_t> rows, std::size_t slot_base,
                    BatchCellState &state, BatchGateEvaluator &eval) override;
-
-  private:
-    // Per-step scratch: pre-activation of the drive gate.
-    std::vector<float> preact_;
 };
 
 } // namespace nlfm::nn

@@ -37,34 +37,6 @@ RnnLayer::cell(std::size_t direction) const
 }
 
 void
-RnnLayer::forward(const Sequence &inputs, GateEvaluator &eval,
-                  Sequence &outputs)
-{
-    const std::size_t steps = inputs.size();
-    outputs.assign(steps, std::vector<float>(outputSize(), 0.f));
-
-    // Forward direction.
-    CellState state = cells_[0]->makeState();
-    for (std::size_t t = 0; t < steps; ++t) {
-        nlfm_assert(inputs[t].size() == inputSize_,
-                    "layer input width mismatch at step ", t);
-        cells_[0]->step(inputs[t], state, eval);
-        std::copy(state.h.begin(), state.h.end(), outputs[t].begin());
-    }
-
-    // Backward direction (bidirectional layers).
-    if (cells_.size() == 2) {
-        CellState back = cells_[1]->makeState();
-        for (std::size_t s = 0; s < steps; ++s) {
-            const std::size_t t = steps - 1 - s;
-            cells_[1]->step(inputs[t], back, eval);
-            std::copy(back.h.begin(), back.h.end(),
-                      outputs[t].begin() + static_cast<long>(hidden_));
-        }
-    }
-}
-
-void
 RnnLayer::forwardBatch(const tensor::Batch &inputs, std::size_t slot_base,
                        BatchGateEvaluator &eval, tensor::Batch &outputs)
 {

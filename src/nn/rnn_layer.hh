@@ -45,24 +45,16 @@ class RnnLayer
     const RnnCell &cell(std::size_t direction) const;
 
     /**
-     * Run the full input sequence through the layer.
-     *
-     * The forward cell consumes inputs in order x_1..x_N; the backward
-     * cell (if present) consumes x_N..x_1 (paper §2.1.1). @p outputs is
-     * resized to the sequence length.
-     */
-    void forward(const Sequence &inputs, GateEvaluator &eval,
-                 Sequence &outputs);
-
-    /**
      * Run a whole batch panel-wise through the layer.
      *
+     * The forward cell consumes each sequence in order x_1..x_N; the
+     * backward cell (if present) consumes x_N..x_1 (paper §2.1.1), each
+     * sequence's own reversed traversal regardless of padding.
      * @p outputs must be shaped Batch(outputSize(), inputs.lengths()).
      * @p slot_base is the global sequence index of panel row 0 (forwarded
      * to the evaluator so slot-keyed state lines up across chunks). Each
-     * sequence's outputs are bitwise identical to forward() on that
-     * sequence alone; backward cells consume each sequence's own reversed
-     * traversal regardless of padding.
+     * sequence's outputs are bitwise identical to a batch of that
+     * sequence alone.
      */
     void forwardBatch(const tensor::Batch &inputs, std::size_t slot_base,
                       BatchGateEvaluator &eval, tensor::Batch &outputs);

@@ -84,22 +84,15 @@ RnnNetwork::gateParams(std::size_t instance_id)
 }
 
 Sequence
-RnnNetwork::forward(const Sequence &inputs, GateEvaluator &eval)
+RnnNetwork::forward(const Sequence &inputs, BatchGateEvaluator &eval)
 {
-    eval.beginSequence();
-    Sequence current = inputs;
-    Sequence next;
-    for (auto &stack_layer : layers_) {
-        stack_layer.forward(current, eval, next);
-        current.swap(next);
-    }
-    return current;
+    return std::move(forwardBatch({&inputs, 1}, eval).front());
 }
 
 Sequence
 RnnNetwork::forwardBaseline(const Sequence &inputs)
 {
-    DirectEvaluator eval;
+    DirectBatchEvaluator eval;
     return forward(inputs, eval);
 }
 

@@ -88,13 +88,14 @@ class RnnNetwork
     std::size_t totalNeurons() const { return totalNeurons_; }
 
     /**
-     * Run a full sequence through the stack. Returns the top layer's
-     * per-timestep outputs (width config().outputSize()).
+     * Run one sequence through the stack: forwardBatch of that sequence
+     * alone, with the default BatchForwardOptions. Returns the top
+     * layer's per-timestep outputs (width config().outputSize()).
      *
-     * Calls eval.beginSequence() first, so a memoizing evaluator starts
+     * Calls eval.beginBatch(1) first, so a memoizing evaluator starts
      * from a cold table for each sequence.
      */
-    Sequence forward(const Sequence &inputs, GateEvaluator &eval);
+    Sequence forward(const Sequence &inputs, BatchGateEvaluator &eval);
 
     /** Convenience: forward with the exact full-precision evaluator. */
     Sequence forwardBaseline(const Sequence &inputs);
@@ -105,8 +106,9 @@ class RnnNetwork
      *
      * Calls eval.beginBatch(inputs.size()) once, then evaluates every
      * chunk through the batched seam. Output i is bitwise identical to
-     * forward(inputs[i], serial counterpart of eval) for every chunk
-     * size, worker count, and batch composition.
+     * a batch of inputs[i] alone (forward) for every chunk size, worker
+     * count, and batch composition, as long as eval keys its state by
+     * slot.
      *
      * Schedule: with two or more chunks, the chunks run in parallel on
      * the pool. A one-chunk batch runs on the calling thread, and each

@@ -346,7 +346,7 @@ BpttTrainer::trainBatch(std::span<const LabeledSequence> batch)
 
 double
 BpttTrainer::evaluateAccuracy(std::span<const LabeledSequence> examples,
-                              GateEvaluator &eval)
+                              BatchGateEvaluator &eval)
 {
     nlfm_assert(!examples.empty(), "no evaluation examples");
     std::size_t correct = 0;

@@ -147,7 +147,7 @@ class BpttTrainer
 
     /** Fraction of examples classified correctly (through @p eval). */
     double evaluateAccuracy(std::span<const LabeledSequence> examples,
-                            GateEvaluator &eval);
+                            BatchGateEvaluator &eval);
 
     /** Mean cross-entropy loss over examples (baseline evaluator). */
     double evaluateLoss(std::span<const LabeledSequence> examples);

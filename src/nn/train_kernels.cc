@@ -2,12 +2,25 @@
 
 #include "common/logging.hh"
 #include "nn/activations.hh"
+#include "tensor/vector_ops.hh"
 
 namespace nlfm::nn::train
 {
 
 namespace
 {
+
+/**
+ * Neuron n's Wx[n].x + Wh[n].h, in the dotLanes order of the inference
+ * panel kernels, so a trained step reproduces the inference one.
+ */
+float
+preactivation(const GateParams &params, std::size_t n,
+              std::span<const float> x, std::span<const float> h)
+{
+    return tensor::dotLanes(params.wx.row(n), x) +
+           tensor::dotLanes(params.wh.row(n), h);
+}
 
 // ---------------------------------------------------------------- LSTM
 
@@ -35,7 +48,7 @@ class LstmKernel final : public CellBpttKernel
         for (std::size_t g = 0; g < 4; ++g) {
             const GateParams &params = cell.gate(g);
             for (std::size_t n = 0; n < hidden; ++n) {
-                preact[n] = evaluateNeuron(params, n, x, h_prev) +
+                preact[n] = preactivation(params, n, x, h_prev) +
                             params.bias[n];
             }
             auto &act = cache.gate[g][t];
@@ -106,7 +119,7 @@ class GruKernel final : public CellBpttKernel
             const GateParams &params = cell.gate(g);
             auto &act = cache.gate[g][t];
             for (std::size_t n = 0; n < hidden; ++n) {
-                act[n] = sigmoid(evaluateNeuron(params, n, x, h_prev) +
+                act[n] = sigmoid(preactivation(params, n, x, h_prev) +
                                  params.bias[n]);
             }
         }
@@ -116,7 +129,7 @@ class GruKernel final : public CellBpttKernel
         auto &g_act = cache.gate[GruCandidate][t];
         for (std::size_t n = 0; n < hidden; ++n) {
             g_act[n] = tanhAct(
-                evaluateNeuron(cand, n, x, cache.aux[t]) + cand.bias[n]);
+                preactivation(cand, n, x, cache.aux[t]) + cand.bias[n]);
         }
         for (std::size_t n = 0; n < hidden; ++n) {
             const float z = cache.gate[GruUpdate][t][n];
@@ -195,7 +208,7 @@ class RateRnnKernel final : public CellBpttKernel
         const GateParams &params = cell.gate(RateDrive);
         auto &phi = cache.gate[RateDrive][t];
         for (std::size_t n = 0; n < hidden; ++n) {
-            phi[n] = tanhAct(evaluateNeuron(params, n, x, h_prev) +
+            phi[n] = tanhAct(preactivation(params, n, x, h_prev) +
                              params.bias[n]);
         }
         for (std::size_t n = 0; n < hidden; ++n) {
@@ -245,13 +258,13 @@ class BrcKernel final : public CellBpttKernel
         const GateParams &mod = cell.gate(BrcMod);
         auto &a_act = cache.gate[BrcMod][t];
         for (std::size_t n = 0; n < hidden; ++n) {
-            a_act[n] = 1.f + tanhAct(evaluateNeuron(mod, n, x, h_prev) +
+            a_act[n] = 1.f + tanhAct(preactivation(mod, n, x, h_prev) +
                                      mod.bias[n]);
         }
         const GateParams &upd = cell.gate(BrcUpdate);
         auto &c_act = cache.gate[BrcUpdate][t];
         for (std::size_t n = 0; n < hidden; ++n) {
-            c_act[n] = sigmoid(evaluateNeuron(upd, n, x, h_prev) +
+            c_act[n] = sigmoid(preactivation(upd, n, x, h_prev) +
                                upd.bias[n]);
         }
         for (std::size_t n = 0; n < hidden; ++n)
@@ -260,7 +273,7 @@ class BrcKernel final : public CellBpttKernel
         auto &g_act = cache.gate[BrcCandidate][t];
         for (std::size_t n = 0; n < hidden; ++n) {
             g_act[n] = tanhAct(
-                evaluateNeuron(cand, n, x, cache.aux[t]) + cand.bias[n]);
+                preactivation(cand, n, x, cache.aux[t]) + cand.bias[n]);
         }
         for (std::size_t n = 0; n < hidden; ++n) {
             cache.h[t][n] =

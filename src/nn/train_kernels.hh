@@ -44,7 +44,7 @@ struct LayerCache
 /**
  * The per-family half of BPTT. Kernels are stateless singletons; all
  * step state travels through the cache and the caller-owned carry
- * vectors, and every expression mirrors the cell's step() bit for bit.
+ * vectors, and every expression mirrors the cell's stepBatch.
  */
 class CellBpttKernel
 {

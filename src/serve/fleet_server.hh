@@ -20,12 +20,13 @@
 /// over the single optional ThreadPool, so the thread budget is shared
 /// exactly like the slot budget.
 ///
-/// Determinism: each request's output is bitwise identical to
-/// RnnNetwork::forward through the serial MemoEngine at the same theta
-/// — per-model state is slot-keyed and per-row results never depend on
-/// panel composition, so which models share the fleet, which slot a
-/// request lands in, and the worker count all cancel out. Pinned by
-/// tests/fleet_test.cc against that serial reference.
+/// Determinism: each request's output is bitwise identical to a
+/// one-sequence RnnNetwork::forward through a MemoEngine at the same
+/// theta — per-model state is slot-keyed and per-row results never
+/// depend on panel composition, so which models share the fleet, which
+/// slot a request lands in, and the worker count all cancel out. Pinned
+/// by tests/fleet_test.cc against that one-row reference, which
+/// tests/reference_test.cc pins against the scalar reference.
 ///
 /// Accounting is per model and aggregate: ServingStats per registered
 /// model plus a fleet-wide accumulator, all exposed in one

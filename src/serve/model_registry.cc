@@ -13,8 +13,8 @@ ModelRegistry::add(ModelSpec spec)
                 "ModelSpec weight must be positive (got ", spec.weight,
                 ")");
     nlfm_assert(!spec.memo.recordTrace,
-                "trace recording is a serial-path feature; fleet models "
-                "cannot record traces");
+                "fleet models cannot record traces: a served slot's trace "
+                "is dropped when the slot is recycled");
     if (spec.memoized &&
         spec.memo.predictor == memo::PredictorKind::Bnn)
         nlfm_assert(spec.bnn != nullptr,

@@ -60,7 +60,8 @@ struct ServerOptions
     std::size_t queueCapacity = 64;
 
     /// Memoization configuration; memo.theta is the default per-request
-    /// theta. recordTrace must be off (serial-path feature).
+    /// theta. recordTrace must be off: a served slot's trace is dropped
+    /// when the slot is recycled.
     memo::MemoOptions memo{};
 
     /// false serves exact (DirectBatchEvaluator) instead of memoized —

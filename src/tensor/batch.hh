@@ -6,12 +6,12 @@
  * panels of shape [B x width] (row b holds sequence b's feature vector at
  * that step, zero for steps past the sequence's end). Panels let gate
  * kernels stream one neuron's weight row across the whole batch, which is
- * what amortizes weight-buffer reads over B sequences — the serial path
- * re-reads every weight once per sequence.
+ * what amortizes weight-buffer reads over B sequences, where one
+ * sequence at a time re-reads every weight once per sequence.
  *
  * Sequence order is preserved: slot b in every panel is input sequence b,
- * so per-slot memoization state and reuse statistics line up with the
- * serial per-sequence run.
+ * so per-slot memoization state and reuse statistics line up with a
+ * one-sequence run of that input.
  */
 
 #ifndef NLFM_TENSOR_BATCH_HH

@@ -65,8 +65,8 @@ class Matrix
      * neuron rows (dotLanesGroup) are the outer loop so each weight row
      * is streamed once across the whole panel — the weight-read
      * amortization the batch path exists for. Per-row results are
-     * bitwise identical to dotLanes(row(r), inputs.row(b)), the
-     * explicit-lane kernel the serial gate path (dotPair) uses.
+     * bitwise identical to dotLanes(row(r), inputs.row(b)), whatever
+     * the panel's size.
      */
     void matvecPanel(const Matrix &inputs, std::span<const std::size_t> rows,
                      Matrix &out, bool accumulate) const

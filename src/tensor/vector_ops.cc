@@ -387,13 +387,6 @@ cpuHasAvx512Group()
 
 } // namespace detail
 
-float
-dotPair(std::span<const float> a1, std::span<const float> b1,
-        std::span<const float> a2, std::span<const float> b2)
-{
-    return dotLanes(a1, b1) + dotLanes(a2, b2);
-}
-
 void
 axpy(float alpha, std::span<const float> x, std::span<float> y)
 {

@@ -35,8 +35,8 @@ float dotLanes(std::span<const float> a, std::span<const float> b);
  * Blocked multi-row GEMV panel kernel: out[r] = dotLanes(w, *xs[r]) for
  * every r, bit for bit, but with each weight block loaded once and
  * FMA-ed into up to 8 rows' accumulators. The per-weight-load
- * arithmetic intensity is what makes batched evaluation beat the serial
- * path even on one core.
+ * arithmetic intensity is what makes a batch of sequences beat the same
+ * sequences one at a time, even on one core.
  */
 void dotLanesRows(std::span<const float> w,
                   std::span<const float *const> xs, std::span<float> out);
@@ -61,15 +61,6 @@ void dotLanesGroup(std::span<const float *const, kGroupNeurons> w,
  * rows; false when it is those four passes.
  */
 bool dotLanesGroupIsWide();
-
-/**
- * Fused gate product dotLanes(a1, b1) + dotLanes(a2, b2) — the
- * per-neuron Wx[n]·x + Wh[n]·h that both the serial and the batched
- * gate kernels evaluate. Defined as exactly that expression so every
- * path shares one rounding behaviour and stays bitwise comparable.
- */
-float dotPair(std::span<const float> a1, std::span<const float> b1,
-              std::span<const float> a2, std::span<const float> b2);
 
 /** y += alpha * x. */
 void axpy(float alpha, std::span<const float> x, std::span<float> y);

@@ -125,23 +125,9 @@ WorkloadEvaluator::scoreLoss(
 }
 
 std::vector<metrics::TokenSeq>
-WorkloadEvaluator::decode(Split split, nn::GateEvaluator &eval)
+WorkloadEvaluator::decode(Split split, nn::BatchGateEvaluator &eval)
 {
-    std::vector<metrics::TokenSeq> decodes;
-    for (const auto &sequence : inputs(split)) {
-        const nn::Sequence outputs =
-            workload_.network->forward(sequence, eval);
-        decodes.push_back(decodeSequence(outputs));
-    }
-    return decodes;
-}
-
-std::vector<metrics::TokenSeq>
-WorkloadEvaluator::decodeBatch(Split split, nn::BatchGateEvaluator &eval,
-                               const nn::BatchForwardOptions &forward)
-{
-    const auto outputs =
-        workload_.network->forwardBatch(inputs(split), eval, forward);
+    const auto outputs = workload_.network->forwardBatch(inputs(split), eval);
     std::vector<metrics::TokenSeq> decodes;
     decodes.reserve(outputs.size());
     for (const auto &sequence : outputs)
@@ -149,28 +135,12 @@ WorkloadEvaluator::decodeBatch(Split split, nn::BatchGateEvaluator &eval,
     return decodes;
 }
 
-EvalResult
-WorkloadEvaluator::evaluateBatch(const memo::MemoOptions &options,
-                                 Split split,
-                                 const nn::BatchForwardOptions &forward)
-{
-    const auto &reference = baselineDecodes(split);
-    memo::BatchMemoEngine engine(*workload_.network, workload_.bnn.get(),
-                                 options);
-    const auto hypothesis = decodeBatch(split, engine, forward);
-
-    EvalResult result;
-    result.reuse = engine.stats().reuseFraction();
-    result.lossPercent = scoreLoss(reference, hypothesis);
-    return result;
-}
-
 const std::vector<metrics::TokenSeq> &
 WorkloadEvaluator::baselineDecodes(Split split)
 {
     const auto index = static_cast<std::size_t>(split);
     if (!baselineReady_[index]) {
-        nn::DirectEvaluator direct;
+        nn::DirectBatchEvaluator direct;
         baseline_[index] = decode(split, direct);
         baselineReady_[index] = true;
     }
@@ -188,8 +158,8 @@ WorkloadEvaluator::evaluateWithTrace(const memo::MemoOptions &options,
                                      Split split)
 {
     const auto &reference = baselineDecodes(split);
-    memo::MemoEngine engine(*workload_.network, workload_.bnn.get(),
-                            options);
+    memo::BatchMemoEngine engine(*workload_.network, workload_.bnn.get(),
+                                 options);
     const auto hypothesis = decode(split, engine);
 
     EvalRun run;

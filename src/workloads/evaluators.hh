@@ -20,7 +20,6 @@
 #define NLFM_WORKLOADS_EVALUATORS_HH
 
 #include "memo/memo_batch.hh"
-#include "memo/memo_engine.hh"
 #include "memo/threshold_tuner.hh"
 #include "workloads/model_zoo.hh"
 
@@ -50,7 +49,8 @@ struct EvalRun
 
 /**
  * Runs a workload under a memoization configuration and scores the loss
- * against cached baseline decodes.
+ * against cached baseline decodes. Each run of a split is one
+ * RnnNetwork::forwardBatch of all its sequences on the thread pool.
  */
 class WorkloadEvaluator
 {
@@ -71,26 +71,13 @@ class WorkloadEvaluator
     /** Decoded baseline outputs of the split (computed once, cached). */
     const std::vector<metrics::TokenSeq> &baselineDecodes(Split split);
 
-    /** Decode the split through an arbitrary evaluator. */
+    /**
+     * Decode the split through an arbitrary evaluator, as one batch:
+     * eval.beginBatch sees the split's sequence count, and slot i is
+     * sequence i.
+     */
     std::vector<metrics::TokenSeq> decode(Split split,
-                                          nn::GateEvaluator &eval);
-
-    /**
-     * Decode the split through the batched path: the whole split is one
-     * batch, panel kernels amortize weight reads and sequence chunks run
-     * on the thread pool. Decodes are bitwise identical to decode() with
-     * the serial counterpart of @p eval.
-     */
-    std::vector<metrics::TokenSeq> decodeBatch(
-        Split split, nn::BatchGateEvaluator &eval,
-        const nn::BatchForwardOptions &forward = {});
-
-    /**
-     * Batched counterpart of evaluate(): identical result, batch
-     * throughput.
-     */
-    EvalResult evaluateBatch(const memo::MemoOptions &options, Split split,
-                             const nn::BatchForwardOptions &forward = {});
+                                          nn::BatchGateEvaluator &eval);
 
     const Workload &workload() const { return workload_; }
 

@@ -305,7 +305,7 @@ buildWorkload(const NetworkSpec &spec, std::size_t steps,
                         std::make_move_iterator(extra.begin()),
                         std::make_move_iterator(extra.end()));
             std::vector<std::pair<double, std::size_t>> margins;
-            nn::DirectEvaluator direct;
+            nn::DirectBatchEvaluator direct;
             for (std::size_t i = 0; i < pool.size(); ++i) {
                 const nn::Sequence outputs =
                     workload->network->forward(pool[i], direct);

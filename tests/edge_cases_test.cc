@@ -314,7 +314,7 @@ TEST(WorkloadDecodeTest, SmoothWindowChangesDecode)
 
     workloads::WorkloadEvaluator raw_eval(*raw);
     workloads::WorkloadEvaluator smooth_eval(*smooth);
-    nn::DirectEvaluator direct;
+    nn::DirectBatchEvaluator direct;
     const auto raw_decode =
         raw_eval.decode(workloads::Split::Test, direct);
     const auto smooth_decode =

@@ -286,6 +286,72 @@ TEST(ReportTest, BreakdownItemsOrderAndShares)
     EXPECT_NEAR(shares[3].second, 0.0, 1e-12);
 }
 
+// ------------------------------------------- traces from closed batches
+
+TEST(EpurTraceTest, ClosedBatchTracesMatchOneSequenceRuns)
+{
+    // A ragged batch through a bidirectional stack: each slot's trace,
+    // backward cells included, must equal that of the sequence run on
+    // its own, and so must what the accelerator model makes of them.
+    nn::RnnConfig config;
+    config.cellType = nn::CellType::Lstm;
+    config.inputSize = 10;
+    config.hiddenSize = 24;
+    config.layers = 2;
+    config.bidirectional = true;
+    nn::RnnNetwork network(config);
+    Rng rng(31);
+    nn::InitOptions init;
+    init.magnitudeDispersion = 0.4;
+    nn::initNetwork(network, rng, init);
+    nn::BinarizedNetwork bnn(network);
+
+    std::vector<nn::Sequence> inputs;
+    for (const std::size_t steps : {5, 9, 3}) {
+        nn::Sequence sequence(steps, std::vector<float>(config.inputSize));
+        for (auto &frame : sequence)
+            rng.fillNormal(frame, 0.0, 1.0);
+        inputs.push_back(std::move(sequence));
+    }
+
+    memo::MemoOptions options;
+    options.theta = 0.3;
+    options.recordTrace = true;
+    memo::MemoEngine one(network, &bnn, options);
+    for (const nn::Sequence &input : inputs)
+        network.forward(input, one);
+    ASSERT_EQ(one.traces().size(), inputs.size());
+
+    const Simulator sim{EpurConfig{}, EnergyParams::defaults()};
+    const SimResult expected = sim.simulateMemoized(network, one.traces());
+
+    // One chunk, and one chunk per sequence (chunks run in parallel).
+    for (const std::size_t chunk : {64, 1}) {
+        memo::BatchMemoEngine batch(network, &bnn, options);
+        nn::BatchForwardOptions forward;
+        forward.chunkSize = chunk;
+        network.forwardBatch(inputs, batch, forward);
+        ASSERT_EQ(batch.traces().size(), inputs.size());
+        for (std::size_t s = 0; s < inputs.size(); ++s) {
+            const auto &want = one.traces()[s].gates;
+            const auto &got = batch.traces()[s].gates;
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t g = 0; g < want.size(); ++g)
+                EXPECT_EQ(got[g].misses, want[g].misses)
+                    << "chunk " << chunk << " slot " << s << " gate " << g;
+            EXPECT_EQ(batch.traces()[s].steps(), inputs[s].size());
+        }
+
+        const SimResult actual =
+            sim.simulateMemoized(network, batch.traces());
+        EXPECT_EQ(actual.timing.cycles, expected.timing.cycles);
+        EXPECT_EQ(actual.energy.scratchpadJ, expected.energy.scratchpadJ);
+        EXPECT_EQ(actual.energy.operationsJ, expected.energy.operationsJ);
+        EXPECT_EQ(actual.energy.dramJ, expected.energy.dramJ);
+        EXPECT_EQ(actual.energy.fmuJ, expected.energy.fmuJ);
+    }
+}
+
 // -------------------------------------------- config description sanity
 
 TEST(EpurConfigTest, Table2Defaults)

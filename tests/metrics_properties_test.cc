@@ -12,7 +12,6 @@
 #include <limits>
 
 #include "common/fixed_point.hh"
-#include "common/half.hh"
 #include "common/histogram.hh"
 #include "common/rng.hh"
 #include "metrics/bleu.hh"
@@ -129,34 +128,6 @@ TEST(HistogramPropertyTest, QuantileInvertsCdf)
 }
 
 // ------------------------------------------------- numeric edge cases
-
-TEST(HalfEdgeTest, NaNSurvivesRoundTrip)
-{
-    const float nan = std::numeric_limits<float>::quiet_NaN();
-    const std::uint16_t bits = floatToHalfBits(nan);
-    EXPECT_TRUE(std::isnan(halfBitsToFloat(bits)));
-}
-
-TEST(HalfEdgeTest, InfinitySurvivesRoundTrip)
-{
-    const float inf = std::numeric_limits<float>::infinity();
-    EXPECT_TRUE(std::isinf(halfBitsToFloat(floatToHalfBits(inf))));
-    EXPECT_TRUE(std::isinf(halfBitsToFloat(floatToHalfBits(-inf))));
-    EXPECT_LT(halfBitsToFloat(floatToHalfBits(-inf)), 0.f);
-}
-
-TEST(HalfEdgeTest, SignedZeroPreserved)
-{
-    EXPECT_EQ(floatToHalfBits(-0.0f), 0x8000);
-    EXPECT_EQ(floatToHalfBits(0.0f), 0x0000);
-}
-
-TEST(HalfEdgeTest, OverflowSaturatesToInfinity)
-{
-    // Largest half is 65504; anything above must become infinity.
-    EXPECT_TRUE(std::isinf(halfBitsToFloat(floatToHalfBits(65520.f))));
-    EXPECT_FLOAT_EQ(halfBitsToFloat(floatToHalfBits(65504.f)), 65504.f);
-}
 
 TEST(FixedEdgeTest, SaturatesInsteadOfWrapping)
 {

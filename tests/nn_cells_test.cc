@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for activations, the four cell families (LSTM, GRU,
- * rate RNN, BRC) against hand-evaluated references (paper Eqs. 1-6,
- * §2.1.3, and the descriptor docs), and the cell-descriptor registry.
+ * rate RNN, BRC) against hand-evaluated double-precision references
+ * (paper Eqs. 1-6, §2.1.3, and the descriptor docs), each cell
+ * stepping a one-row panel, and the cell-descriptor registry.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "nn/activations.hh"
+#include "nn/batch_evaluator.hh"
 #include "nn/brc_cell.hh"
 #include "nn/cell_descriptor.hh"
 #include "nn/gru_cell.hh"
@@ -23,6 +25,31 @@ namespace nlfm::nn
 {
 namespace
 {
+
+/** One cell stepping one sequence: a one-row panel, exact gates. */
+struct OneRow
+{
+    RnnCell &cell;
+    BatchCellState state;
+    DirectBatchEvaluator eval;
+
+    explicit OneRow(RnnCell &stepped)
+        : cell(stepped), state(stepped.makeBatchState(1))
+    {
+    }
+
+    void
+    step(const std::vector<float> &frame)
+    {
+        tensor::Matrix x(1, cell.xSize());
+        std::copy(frame.begin(), frame.end(), x.row(0).begin());
+        const std::size_t row = 0;
+        cell.stepBatch(x, {&row, 1}, 0, state, eval);
+    }
+
+    float &h(std::size_t n) { return state.h.row(0)[n]; }
+    float &c(std::size_t n) { return state.extra[0].row(0)[n]; }
+};
 
 // --------------------------------------------------------- activations
 
@@ -123,17 +150,16 @@ referenceLstmStep(const TinyLstm &tiny, double x, double &h, double &c)
 TEST(LstmCellTest, MatchesReferenceOverSequence)
 {
     TinyLstm tiny;
-    CellState state = tiny.cell.makeState();
-    DirectEvaluator eval;
+    OneRow one(tiny.cell);
 
     double h = 0, c = 0;
     const double xs[] = {0.6, -1.2, 0.0, 2.5, -0.3};
     for (double x : xs) {
         const std::vector<float> input = {static_cast<float>(x)};
-        tiny.cell.step(input, state, eval);
+        one.step(input);
         referenceLstmStep(tiny, x, h, c);
-        EXPECT_NEAR(state.h[0], h, 1e-5);
-        EXPECT_NEAR(state.extra[0][0], c, 1e-5);
+        EXPECT_NEAR(one.h(0), h, 1e-5);
+        EXPECT_NEAR(one.c(0), c, 1e-5);
     }
 }
 
@@ -152,14 +178,13 @@ TEST(LstmCellTest, ZeroWeightsGiveBiasDrivenOutput)
     }
     cell.setInstances(std::move(instances));
 
-    CellState state = cell.makeState();
-    DirectEvaluator eval;
+    OneRow one(cell);
     const std::vector<float> x = {1.f, -1.f};
-    cell.step(x, state, eval);
+    one.step(x);
     // i = f = o = 0.5, g = 0 -> c = 0, h = 0.
     for (std::size_t n = 0; n < 3; ++n) {
-        EXPECT_FLOAT_EQ(state.extra[0][n], 0.f);
-        EXPECT_FLOAT_EQ(state.h[n], 0.f);
+        EXPECT_FLOAT_EQ(one.c(n), 0.f);
+        EXPECT_FLOAT_EQ(one.h(n), 0.f);
     }
 }
 
@@ -178,23 +203,11 @@ TEST(LstmCellTest, ForgetGateRetainsCellState)
     }
     cell.setInstances(std::move(instances));
 
-    CellState state = cell.makeState();
-    state.extra[0][0] = 0.7f;
-    DirectEvaluator eval;
+    OneRow one(cell);
+    one.c(0) = 0.7f;
     const std::vector<float> x = {1.f};
-    cell.step(x, state, eval);
-    EXPECT_NEAR(state.extra[0][0], 0.7f, 1e-4);
-}
-
-TEST(LstmCellTest, StateResetZeroes)
-{
-    CellState state;
-    state.h = {1.f, 2.f};
-    state.extra = {{3.f}};
-    state.reset();
-    EXPECT_FLOAT_EQ(state.h[0], 0.f);
-    EXPECT_FLOAT_EQ(state.h[1], 0.f);
-    EXPECT_FLOAT_EQ(state.extra[0][0], 0.f);
+    one.step(x);
+    EXPECT_NEAR(one.c(0), 0.7f, 1e-4);
 }
 
 // ------------------------------------------------------------ GRU cell
@@ -245,24 +258,23 @@ referenceGruStep(const TinyGru &tiny, double x, double &h)
 TEST(GruCellTest, MatchesReferenceOverSequence)
 {
     TinyGru tiny;
-    CellState state = tiny.cell.makeState();
-    DirectEvaluator eval;
+    OneRow one(tiny.cell);
 
     double h = 0;
     const double xs[] = {1.0, -0.5, 0.25, 3.0, -2.0};
     for (double x : xs) {
         const std::vector<float> input = {static_cast<float>(x)};
-        tiny.cell.step(input, state, eval);
+        one.step(input);
         referenceGruStep(tiny, x, h);
-        EXPECT_NEAR(state.h[0], h, 1e-5);
+        EXPECT_NEAR(one.h(0), h, 1e-5);
     }
 }
 
 TEST(GruCellTest, NoCellStateAllocated)
 {
     GruCell cell(2, 4);
-    const CellState state = cell.makeState();
-    EXPECT_EQ(state.h.size(), 4u);
+    const BatchCellState state = cell.makeBatchState(1);
+    EXPECT_EQ(state.h.cols(), 4u);
     EXPECT_TRUE(state.extra.empty());
 }
 
@@ -279,12 +291,11 @@ TEST(GruCellTest, UpdateGateInterpolates)
         instances[g].hSize = 1;
     }
     cell.setInstances(std::move(instances));
-    CellState state = cell.makeState();
-    state.h[0] = 0.42f;
-    DirectEvaluator eval;
+    OneRow one(cell);
+    one.h(0) = 0.42f;
     const std::vector<float> x = {5.f};
-    cell.step(x, state, eval);
-    EXPECT_NEAR(state.h[0], 0.42f, 1e-4);
+    one.step(x);
+    EXPECT_NEAR(one.h(0), 0.42f, 1e-4);
 }
 
 // ------------------------------------------------------- rate-RNN cell
@@ -322,16 +333,15 @@ referenceRateRnnStep(const TinyRateRnn &tiny, double x, double &r)
 TEST(RateRnnCellTest, MatchesReferenceOverSequence)
 {
     TinyRateRnn tiny;
-    CellState state = tiny.cell.makeState();
-    DirectEvaluator eval;
+    OneRow one(tiny.cell);
 
     double r = 0;
     const double xs[] = {0.9, -1.4, 0.2, 2.0, -0.6};
     for (double x : xs) {
         const std::vector<float> input = {static_cast<float>(x)};
-        tiny.cell.step(input, state, eval);
+        one.step(input);
         referenceRateRnnStep(tiny, x, r);
-        EXPECT_NEAR(state.h[0], r, 1e-5);
+        EXPECT_NEAR(one.h(0), r, 1e-5);
     }
 }
 
@@ -359,19 +369,18 @@ TEST(RateRnnCellTest, UnitLeakIsPureTanhRnn)
     instances[0].hSize = 1;
     cell.setInstances(std::move(instances));
 
-    CellState state = cell.makeState();
-    state.h[0] = 0.9f; // must not persist when a = 1
-    DirectEvaluator eval;
+    OneRow one(cell);
+    one.h(0) = 0.9f; // must not persist when a = 1
     const std::vector<float> x = {0.5f};
-    cell.step(x, state, eval);
-    EXPECT_NEAR(state.h[0], std::tanh(0.5), 1e-5);
+    one.step(x);
+    EXPECT_NEAR(one.h(0), std::tanh(0.5), 1e-5);
 }
 
 TEST(RateRnnCellTest, NoExtraStateSlots)
 {
     RateRnnCell cell(2, 4);
-    const CellState state = cell.makeState();
-    EXPECT_EQ(state.h.size(), 4u);
+    const BatchCellState state = cell.makeBatchState(1);
+    EXPECT_EQ(state.h.cols(), 4u);
     EXPECT_TRUE(state.extra.empty());
 }
 
@@ -424,16 +433,15 @@ referenceBrcStep(const TinyBrc &tiny, double x, double &h)
 TEST(BrcCellTest, MatchesReferenceOverSequence)
 {
     TinyBrc tiny;
-    CellState state = tiny.cell.makeState();
-    DirectEvaluator eval;
+    OneRow one(tiny.cell);
 
     double h = 0;
     const double xs[] = {1.2, -0.7, 0.4, 2.5, -1.8};
     for (double x : xs) {
         const std::vector<float> input = {static_cast<float>(x)};
-        tiny.cell.step(input, state, eval);
+        one.step(input);
         referenceBrcStep(tiny, x, h);
-        EXPECT_NEAR(state.h[0], h, 1e-5);
+        EXPECT_NEAR(one.h(0), h, 1e-5);
     }
 }
 
@@ -451,19 +459,18 @@ TEST(BrcCellTest, UpdateGateRetainsHiddenState)
     }
     cell.setInstances(std::move(instances));
 
-    CellState state = cell.makeState();
-    state.h[0] = 0.65f;
-    DirectEvaluator eval;
+    OneRow one(cell);
+    one.h(0) = 0.65f;
     const std::vector<float> x = {1.f};
-    cell.step(x, state, eval);
-    EXPECT_NEAR(state.h[0], 0.65f, 1e-4);
+    one.step(x);
+    EXPECT_NEAR(one.h(0), 0.65f, 1e-4);
 }
 
 TEST(BrcCellTest, NoExtraStateSlots)
 {
     BrcCell cell(2, 4);
-    const CellState state = cell.makeState();
-    EXPECT_EQ(state.h.size(), 4u);
+    const BatchCellState state = cell.makeBatchState(1);
+    EXPECT_EQ(state.h.cols(), 4u);
     EXPECT_TRUE(state.extra.empty());
 }
 
@@ -482,7 +489,8 @@ TEST(CellDescriptorTest, RegistryMatchesCellObjects)
         const auto cell = desc.makeCell(config.inputSize, config);
         EXPECT_EQ(cell->type(), type);
         EXPECT_EQ(cell->gateCount(), desc.gates.size());
-        EXPECT_EQ(cell->makeState().extra.size(), desc.extraStateSlots());
+        EXPECT_EQ(cell->makeBatchState(1).extra.size(),
+                  desc.extraStateSlots());
         EXPECT_EQ(gateCount(type), desc.gates.size());
     }
 }

@@ -174,17 +174,21 @@ TEST(RnnNetworkTest, BackwardDirectionSeesReversedSequence)
 
 TEST(RnnNetworkTest, EvaluatorSeesEveryGateOncePerStep)
 {
-    struct CountingEvaluator : DirectEvaluator
+    struct CountingEvaluator : BatchGateEvaluator
     {
+        DirectBatchEvaluator inner;
         std::map<std::size_t, int> calls;
         void
-        evaluateGate(const GateInstance &instance,
-                     const GateParams &params, std::span<const float> x,
-                     std::span<const float> h,
-                     std::span<float> preact) override
+        evaluateGateBatch(const GateInstance &instance,
+                          const GateParams &params, const tensor::Matrix &x,
+                          const tensor::Matrix &h,
+                          std::span<const std::size_t> rows,
+                          std::size_t slot_base,
+                          tensor::Matrix &preact) override
         {
             ++calls[instance.instanceId];
-            DirectEvaluator::evaluateGate(instance, params, x, h, preact);
+            inner.evaluateGateBatch(instance, params, x, h, rows, slot_base,
+                                    preact);
         }
     };
 
@@ -202,6 +206,18 @@ TEST(RnnNetworkTest, EvaluatorSeesEveryGateOncePerStep)
 
 // ----------------------------------------------------------- binarized
 
+/** BNN output of @p neuron for the binarized input [x; h] (Eq. 8). */
+int
+signOutput(const BinarizedGate &gate, std::size_t neuron,
+           std::span<const float> x, std::span<const float> h)
+{
+    tensor::BitVector input(x.size() + h.size());
+    input.assignConcat(x, h);
+    std::int32_t out = 0;
+    tensor::bnnDotRows(gate.weights(), neuron, 1, input, {&out, 1});
+    return out;
+}
+
 TEST(BinarizedTest, GateOutputsMatchNaiveSignDot)
 {
     Rng rng(7);
@@ -215,8 +231,7 @@ TEST(BinarizedTest, GateOutputsMatchNaiveSignDot)
     rng.fillNormal(x, 0.0, 1.0);
     rng.fillNormal(h, 0.0, 1.0);
 
-    BinarizedGate &gate = bnn.gate(2);
-    gate.binarizeInput(x, h);
+    const BinarizedGate &gate = bnn.gate(2);
     for (std::size_t n = 0; n < inst.neurons; ++n) {
         std::vector<float> weights(params.wx.row(n).begin(),
                                    params.wx.row(n).end());
@@ -224,7 +239,8 @@ TEST(BinarizedTest, GateOutputsMatchNaiveSignDot)
                        params.wh.row(n).end());
         std::vector<float> input(x);
         input.insert(input.end(), h.begin(), h.end());
-        EXPECT_EQ(gate.output(n), tensor::bnnDotNaive(weights, input));
+        EXPECT_EQ(signOutput(gate, n, x, h),
+                  tensor::bnnDotNaive(weights, input));
     }
 }
 
@@ -243,12 +259,10 @@ TEST(BinarizedTest, RefreshTracksWeightChanges)
         w = -w;
 
     std::vector<float> x(params.xSize(), 1.f), h(params.hSize(), 1.f);
-    BinarizedGate &gate = bnn.gate(0);
-    gate.binarizeInput(x, h);
-    const int stale = gate.output(0);
+    const BinarizedGate &gate = bnn.gate(0);
+    const int stale = signOutput(gate, 0, x, h);
     bnn.refresh(network);
-    gate.binarizeInput(x, h);
-    EXPECT_EQ(gate.output(0), -stale);
+    EXPECT_EQ(signOutput(gate, 0, x, h), -stale);
 }
 
 TEST(BinarizedTest, MirrorCoversEveryGate)

@@ -221,7 +221,7 @@ TEST(TrainingTest, LearnsSentimentTask)
     const auto train_set = task.sample(256, data_rng);
     const auto test_set = task.sample(128, data_rng);
 
-    DirectEvaluator direct;
+    DirectBatchEvaluator direct;
     const double before = trainer.evaluateAccuracy(test_set, direct);
 
     const std::size_t batch = 32;

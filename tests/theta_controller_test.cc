@@ -421,7 +421,7 @@ TEST(AdmissionThetaFloor, AttachStatsTwicePanics)
             admission.attachStats(stats, {&stats});
             admission.attachStats(stats, {&stats});
         },
-        "attachStats");
+        "called twice");
 }
 
 TEST(AdmissionThetaFloor, AttachStatsWrongSinkCountPanics)

@@ -204,7 +204,7 @@ trainAndScore(nn::RnnConfig config,
                     train_set.data() + i, batch));
         }
     }
-    nn::DirectEvaluator direct;
+    nn::DirectBatchEvaluator direct;
     return trainer.evaluateAccuracy(test_set, direct);
 }
 
