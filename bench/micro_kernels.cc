@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microkernels backing the paper's cost claims:
  * the BNN dot product is orders of magnitude cheaper than the FP dot
- * product (§3.1.2), packed XNOR/popcount crushes the naive ±1 loop, and
- * the per-gate memoization probe adds little on top of a cell step;
+ * product (§3.1.2), the packed XNOR/popcount probe panel crushes the
+ * naive ±1 loop, and the per-gate memoization probe adds little on top
+ * of a cell step;
  * plus the float GEMV panel kernels behind every full evaluation, and
  * what bounds splitting a cell's elementwise stage over the pool: the
  * activations it evaluates against the cost of one pool dispatch.
@@ -52,19 +53,6 @@ BM_FpDot(benchmark::State &state)
 BENCHMARK(BM_FpDot)->Arg(256)->Arg(640)->Arg(2048);
 
 void
-BM_BnnDotPacked(benchmark::State &state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const auto a = tensor::BitVector::fromFloats(randomVector(n, 3));
-    const auto b = tensor::BitVector::fromFloats(randomVector(n, 4));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(tensor::bnnDot(a, b));
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_BnnDotPacked)->Arg(256)->Arg(640)->Arg(2048);
-
-void
 BM_BnnDotNaive(benchmark::State &state)
 {
     const auto n = static_cast<std::size_t>(state.range(0));
@@ -76,56 +64,6 @@ BM_BnnDotNaive(benchmark::State &state)
                             static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_BnnDotNaive)->Arg(640);
-
-/**
- * One gate's probe shape (DeepSpeech2-like): 64 weight rows x 1600 bits
- * against one packed input, per forced ISA variant. Skips variants the
- * host cannot run.
- */
-void
-benchBnnDotRows(benchmark::State &state, tensor::BnnIsa isa)
-{
-    if (!tensor::bnnSetIsa(isa)) {
-        state.SkipWithError("ISA variant not supported on this host");
-        return;
-    }
-    const std::size_t n = 1600;
-    const std::size_t rows = 64;
-    tensor::BitMatrix w(rows, n);
-    for (std::size_t r = 0; r < rows; ++r)
-        w.setRow(r, randomVector(n, 100 + r));
-    const auto input = tensor::BitVector::fromFloats(randomVector(n, 99));
-    std::vector<std::int32_t> out(rows);
-    for (auto _ : state) {
-        tensor::bnnDotRows(w, 0, rows, input, out);
-        benchmark::DoNotOptimize(out.data());
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(rows * n));
-    tensor::bnnSetIsa(tensor::bnnBestIsa());
-}
-
-void
-BM_BnnDotRowsPortable(benchmark::State &state)
-{
-    benchBnnDotRows(state, tensor::BnnIsa::Portable);
-}
-BENCHMARK(BM_BnnDotRowsPortable);
-
-void
-BM_BnnDotRowsAvx2(benchmark::State &state)
-{
-    benchBnnDotRows(state, tensor::BnnIsa::Avx2);
-}
-BENCHMARK(BM_BnnDotRowsAvx2);
-
-void
-BM_BnnDotRowsAvx512(benchmark::State &state)
-{
-    benchBnnDotRows(state, tensor::BnnIsa::Avx512);
-}
-BENCHMARK(BM_BnnDotRowsAvx512);
 
 /**
  * The batch engine's panel shape: a neuron block x live slots, per

@@ -213,9 +213,8 @@ buildUnionPanel(RangeScratch &s, std::size_t slots,
 
 /**
  * AVX-512 form of the Phase-1 decision loop for the default engine
- * configuration (fixed-point CMP, throttling on) over a dense slot
- * range: eight slots per step through the division-free comparison of
- * memo_decision.hh —
+ * configuration (throttling on) over a dense slot range: eight slots
+ * per step through the division-free comparison of memo_decision.hh —
  *
  *     reuse ⟺ valid && (diff << 16) < (theta - prev + 1) * mag
  *             (with the yb_t == 0 branch folded in as diff == 0 &&
@@ -312,9 +311,9 @@ decideRowAvx512(const std::int32_t *yb_row, std::size_t slots,
         miss_blocks[i / 8] = 0;
     for (; i < slots; ++i) {
         const std::size_t e = e0 + i;
-        const BnnDecision decision =
-            bnnReuseDecision(yb_row[i], bnn_row[e], valid_row[e] != 0,
-                             draw_row[e], 0.0, true, true, 0.0, theta_q);
+        const BnnDecision decision = bnnReuseDecision(
+            yb_row[i], bnn_row[e], valid_row[e] != 0, draw_row[e], true,
+            theta_q);
         if (decision.reuse) {
             out_rows[i][n] = y_row[e];
             draw_row[e] = decision.deltaRaw;
@@ -386,17 +385,12 @@ commitRowAvx512(const std::uint8_t *miss_blocks, std::size_t slots,
 
 #endif // __x86_64__
 
-/**
- * One neuron's table row: its entries for every slot of the engine.
- * delta_b is Q16 in the fixed-point engine (draw) and double otherwise
- * (dfp); the other pointer is null.
- */
+/** One neuron's table row: its entries for every slot of the engine. */
 struct TableRow
 {
     std::int32_t *bnn;
     std::uint8_t *valid;
     std::int64_t *draw;
-    double *dfp;
     float *y;
 };
 
@@ -435,10 +429,7 @@ commitMisses(const CallScratch &call, std::size_t n, const TableRow &row,
         call.outRows[i][n] = y_t;
         row.y[e] = y_t;
         row.bnn[e] = yb_row[i];
-        if (row.draw != nullptr)
-            row.draw[e] = 0;
-        else
-            row.dfp[e] = 0.0;
+        row.draw[e] = 0;
         row.valid[e] = 1;
     }
 }
@@ -575,8 +566,7 @@ BatchMemoEngine::exportSlot(std::size_t slot, SlotMemoState &out) const
     out.cachedOutput.resize(neurons);
     out.valid.resize(neurons);
     out.cachedBnn.resize(bnn ? neurons : 0);
-    out.deltaRaw.resize(bnn && options_.fixedPoint ? neurons : 0);
-    out.deltaFp.resize(bnn && !options_.fixedPoint ? neurons : 0);
+    out.deltaRaw.resize(bnn ? neurons : 0);
     // Strided gather: entry n of the snapshot is table column slot of
     // neuron n. One pass per allocated array keeps each table's access
     // pattern a simple fixed-stride walk.
@@ -589,13 +579,8 @@ BatchMemoEngine::exportSlot(std::size_t slot, SlotMemoState &out) const
         return;
     for (std::size_t n = 0; n < neurons; ++n)
         out.cachedBnn[n] = cachedBnn_[n * slotStride_ + slot];
-    if (options_.fixedPoint) {
-        for (std::size_t n = 0; n < neurons; ++n)
-            out.deltaRaw[n] = deltaRaw_[n * slotStride_ + slot];
-    } else {
-        for (std::size_t n = 0; n < neurons; ++n)
-            out.deltaFp[n] = deltaFp_[n * slotStride_ + slot];
-    }
+    for (std::size_t n = 0; n < neurons; ++n)
+        out.deltaRaw[n] = deltaRaw_[n * slotStride_ + slot];
 }
 
 void
@@ -608,15 +593,10 @@ BatchMemoEngine::restoreSlot(std::size_t slot, const SlotMemoState &state)
                     state.valid.size() == neurons,
                 "restoreSlot: snapshot neuron count mismatch (session "
                 "state from a different network?)");
-    nlfm_assert(state.cachedBnn.size() == (bnn ? neurons : 0),
+    nlfm_assert(state.cachedBnn.size() == (bnn ? neurons : 0) &&
+                    state.deltaRaw.size() == (bnn ? neurons : 0),
                 "restoreSlot: snapshot predictor mismatch (BNN tables "
                 "vs this engine's configuration)");
-    nlfm_assert(state.deltaRaw.size() ==
-                        (bnn && options_.fixedPoint ? neurons : 0) &&
-                    state.deltaFp.size() ==
-                        (bnn && !options_.fixedPoint ? neurons : 0),
-                "restoreSlot: snapshot delta representation mismatch "
-                "(fixedPoint configuration differs)");
     for (std::size_t n = 0; n < neurons; ++n) {
         const std::size_t e = n * slotStride_ + slot;
         cachedOutput_[e] = state.cachedOutput[n];
@@ -626,13 +606,8 @@ BatchMemoEngine::restoreSlot(std::size_t slot, const SlotMemoState &state)
         return;
     for (std::size_t n = 0; n < neurons; ++n)
         cachedBnn_[n * slotStride_ + slot] = state.cachedBnn[n];
-    if (options_.fixedPoint) {
-        for (std::size_t n = 0; n < neurons; ++n)
-            deltaRaw_[n * slotStride_ + slot] = state.deltaRaw[n];
-    } else {
-        for (std::size_t n = 0; n < neurons; ++n)
-            deltaFp_[n * slotStride_ + slot] = state.deltaFp[n];
-    }
+    for (std::size_t n = 0; n < neurons; ++n)
+        deltaRaw_[n * slotStride_ + slot] = state.deltaRaw[n];
 }
 
 void
@@ -670,20 +645,14 @@ BatchMemoEngine::beginBatch(std::size_t total_sequences)
                             kCacheLineBytes;
     const std::size_t entries = network_.totalNeurons() * slotStride_;
     cachedOutput_.assign(entries, 0.f);
-    // The BNN tables back the BNN predictor only, and options_.
-    // fixedPoint selects exactly one throttling representation at
-    // construction: only the arrays this engine can touch are given
-    // memory.
+    // The BNN tables back the BNN predictor only: only the arrays this
+    // engine can touch are given memory.
     const bool bnn = options_.predictor == PredictorKind::Bnn;
     cachedBnn_ = {};
     deltaRaw_ = {};
-    deltaFp_ = {};
     if (bnn) {
         cachedBnn_.assign(entries, 0);
-        if (options_.fixedPoint)
-            deltaRaw_.assign(entries, 0);
-        else
-            deltaFp_.assign(entries, 0.0);
+        deltaRaw_.assign(entries, 0);
     }
     valid_.assign(entries, 0);
     slotThetaRaw_.assign(slotStride_, thetaQ_.raw());
@@ -813,7 +782,6 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
 {
     nn::BinarizedGate &bgate = bnn_->gate(instance.instanceId);
     const bool throttle = options_.throttle;
-    const bool fixed_point = options_.fixedPoint;
     const std::size_t slots = rows.size();
 
     // Phase-time attribution (setPhaseSink): local accumulators per
@@ -855,8 +823,8 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
     const std::span<const std::uint32_t> slot_entry = call.slotEntry;
 
     // The vector decision path covers the default configuration
-    // (fixed-point CMP + throttling) over a dense slot range whose slots
-    // all sit at ONE theta, with theta small enough that
+    // (throttling on) over a dense slot range whose slots all sit at ONE
+    // theta, with theta small enough that
     // (theta + 1) * mag cannot leave 64 bits; anything else — including
     // a forced non-AVX-512 probe ISA, so variant comparisons measure a
     // genuinely ISA-free fallback — takes the scalar loop, which reads
@@ -885,8 +853,7 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
             uniform_theta =
                 slotThetaRaw_[slot_entry[i]] == panel_theta_raw;
     const bool vector_decide =
-        has_decide_isa && fixed_point && throttle && dense &&
-        uniform_theta &&
+        has_decide_isa && throttle && dense && uniform_theta &&
         tensor::bnnActiveIsa() == tensor::BnnIsa::Avx512 &&
         panel_theta_raw <
             std::numeric_limits<std::int64_t>::max() /
@@ -903,8 +870,7 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
     const auto table_row = [&](std::size_t n) {
         const std::size_t base = (instance.neuronBase + n) * slotStride_;
         return TableRow{cachedBnn_.data() + base, valid_.data() + base,
-                        fixed_point ? deltaRaw_.data() + base : nullptr,
-                        fixed_point ? nullptr : deltaFp_.data() + base,
+                        deltaRaw_.data() + base,
                         cachedOutput_.data() + base};
     };
 
@@ -1065,25 +1031,18 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
                     const std::uint32_t e = slot_entry[i];
                     const std::int32_t yb_t = yb_row[i];
 
-                    const std::int64_t prev_raw =
-                        fixed_point ? row.draw[e] : 0;
-                    const double prev_fp = fixed_point ? 0.0 : row.dfp[e];
                     // Per-slot threshold: slots carry their own theta
                     // in serving mode (identical to the engine default
                     // in closed-batch mode).
                     const BnnDecision decision = bnnReuseDecision(
-                        yb_t, row.bnn[e], row.valid[e] != 0, prev_raw,
-                        prev_fp, throttle, fixed_point, slotThetaFp_[e],
-                        Q16::fromRaw(slotThetaRaw_[e]));
+                        yb_t, row.bnn[e], row.valid[e] != 0, row.draw[e],
+                        throttle, Q16::fromRaw(slotThetaRaw_[e]));
 
                     if (decision.reuse) {
                         // Eq. 14 top: bypass the DPU, emit the cached
                         // output.
                         out_rows[i][n] = row.y[e];
-                        if (fixed_point)
-                            row.draw[e] = decision.deltaRaw;
-                        else
-                            row.dfp[e] = decision.deltaFp;
+                        row.draw[e] = decision.deltaRaw;
                         ++s.hits[i];
                     } else {
                         s.miss[miss_count++] =

@@ -68,15 +68,14 @@ struct GatePhaseTimes
 /// (serve::SessionStore): restoring a snapshot into any slot of an
 /// engine with the same network and predictor configuration makes that
 /// slot continue deciding exactly where the exporting slot stopped.
-/// Only the arrays the exporting engine's configuration allocates are
-/// filled (Oracle engines carry no yb_m/delta_b; fixedPoint selects one
-/// delta representation), and restoreSlot asserts the same shape.
+/// Only the arrays the exporting engine's predictor allocates are
+/// filled (Oracle engines carry no yb_m/delta_b), and restoreSlot
+/// asserts the same shape.
 struct SlotMemoState
 {
     std::vector<float> cachedOutput;     ///< y_m per neuron
     std::vector<std::int32_t> cachedBnn; ///< yb_m (BNN predictor only)
-    std::vector<std::int64_t> deltaRaw;  ///< delta_b, Q16 raw
-    std::vector<double> deltaFp;         ///< delta_b, double path
+    std::vector<std::int64_t> deltaRaw;  ///< delta_b, Q16 raw (BNN only)
     std::vector<std::uint8_t> valid;
 
     bool empty() const { return valid.empty(); }
@@ -131,8 +130,8 @@ class BatchMemoEngine : public nn::BatchGateEvaluator
     /// per-request theta and the reuse counters are admission state,
     /// not session state, so restore deliberately leaves both alone
     /// (slotReuseFraction stays per-request). The snapshot must come
-    /// from an engine with the same network and the same predictor /
-    /// fixedPoint configuration (asserted via array shapes).
+    /// from an engine with the same network and the same predictor
+    /// (asserted via array shapes).
     void restoreSlot(std::size_t slot, const SlotMemoState &state);
 
     /// Per-request reuse threshold of one slot (Eq. 14's theta). Slots at
@@ -237,16 +236,14 @@ class BatchMemoEngine : public nn::BatchGateEvaluator
 
     // Memo table, SoA over [neuron][slot]: index flat_neuron *
     // slotStride_ + slot. Distinct slots belong to distinct sequences,
-    // so concurrent chunks touch disjoint entries. Of the two throttling
-    // arrays, only the one options_.fixedPoint selects is allocated —
-    // the other would be ~1/3 of the table footprint, dead.
+    // so concurrent chunks touch disjoint entries.
     CacheAlignedVector<float> cachedOutput_;     ///< y_m
     CacheAlignedVector<std::int32_t> cachedBnn_; ///< yb_m
     CacheAlignedVector<std::int64_t> deltaRaw_;  ///< delta_b (Q16 raw)
-    CacheAlignedVector<double> deltaFp_;         ///< delta_b (double)
     CacheAlignedVector<std::uint8_t> valid_;
 
-    // Per-slot reuse threshold, both representations: index slot.
+    // Per-slot reuse threshold, in Q16 for the BNN decision and as a
+    // double for the Oracle and slotTheta(): index slot.
     CacheAlignedVector<std::int64_t> slotThetaRaw_;
     CacheAlignedVector<double> slotThetaFp_;
 

@@ -22,25 +22,22 @@ namespace nlfm::memo
 struct BnnDecision
 {
     bool reuse = false;
-    /** delta_b to store when reusing (Q16 raw / double path). */
+    /** delta_b to store when reusing, Q16 raw. */
     std::int64_t deltaRaw = 0;
-    double deltaFp = 0.0;
 };
 
 /**
  * BNN reuse decision (Eqs. 12-14): relative BNN difference, throttling
- * accumulation, and the theta comparison in Q16.16 or double.
+ * accumulation, and the theta comparison in Q16.16.
  *
  * @param yb_t     current binarized output
  * @param yb_m     cached binarized output (ignored unless @p valid)
  * @param valid    memo entry holds a value
- * @param prev_raw accumulated delta_b, Q16 raw (fixed-point path)
- * @param prev_fp  accumulated delta_b (double path)
+ * @param prev_raw accumulated delta_b, Q16 raw
  */
 inline BnnDecision
 bnnReuseDecision(std::int32_t yb_t, std::int32_t yb_m, bool valid,
-                 std::int64_t prev_raw, double prev_fp, bool throttle,
-                 bool fixed_point, double theta, Q16 theta_q)
+                 std::int64_t prev_raw, bool throttle, Q16 theta_q)
 {
     BnnDecision decision;
     if (!valid)
@@ -51,12 +48,9 @@ bnnReuseDecision(std::int32_t yb_t, std::int32_t yb_m, bool valid,
         // counts as "no change".
         if (yb_m == 0) {
             decision.deltaRaw = throttle ? prev_raw : 0;
-            decision.deltaFp = throttle ? prev_fp : 0.0;
-            decision.reuse =
-                fixed_point ? Q16::fromRaw(decision.deltaRaw) <= theta_q
-                            : decision.deltaFp <= theta;
+            decision.reuse = Q16::fromRaw(decision.deltaRaw) <= theta_q;
         }
-    } else if (fixed_point) {
+    } else {
         // eps_b in Q16.16: |yb_t - yb_m| / |yb_t| (Eq. 12), accumulated
         // into delta_b (Eq. 13) and compared against theta (Eq. 14).
         //
@@ -84,11 +78,6 @@ bnnReuseDecision(std::int32_t yb_t, std::int32_t yb_m, bool valid,
             decision.deltaRaw = prev + scaled_diff / mag;
             decision.reuse = true;
         }
-    } else {
-        const double eps = tensor::relativeDifference(
-            static_cast<double>(yb_t), static_cast<double>(yb_m));
-        decision.deltaFp = (throttle ? prev_fp : 0.0) + eps;
-        decision.reuse = decision.deltaFp <= theta;
     }
     return decision;
 }

@@ -37,7 +37,10 @@ enum class PredictorKind
 struct MemoOptions
 {
     PredictorKind predictor = PredictorKind::Bnn;
-    /** Maximum allowed (accumulated) relative error theta. */
+    /**
+     * Maximum allowed (accumulated) relative error theta; the BNN
+     * predictor compares against its nearest Q16.16 value.
+     */
     double theta = 0.05;
     /**
      * Accumulate eps_b across consecutive reuses (Eq. 13). Disabling
@@ -47,8 +50,6 @@ struct MemoOptions
     bool throttle = true;
     /** Record per-step miss counts for the accelerator model. */
     bool recordTrace = false;
-    /** Evaluate the CMP comparison in Q16.16 (hardware-faithful). */
-    bool fixedPoint = true;
 };
 
 } // namespace nlfm::memo

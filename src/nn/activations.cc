@@ -8,20 +8,6 @@ namespace nlfm::nn
 {
 
 void
-sigmoidInPlace(std::span<float> values)
-{
-    for (auto &value : values)
-        value = sigmoid(value);
-}
-
-void
-tanhInPlace(std::span<float> values)
-{
-    for (auto &value : values)
-        value = tanhAct(value);
-}
-
-void
 softmax(std::span<const float> values, std::span<float> out)
 {
     nlfm_assert(values.size() == out.size() && !values.empty(),

@@ -41,12 +41,6 @@ tanhGradFromOutput(float y)
     return 1.f - y * y;
 }
 
-/** Apply sigmoid element-wise in place. */
-void sigmoidInPlace(std::span<float> values);
-
-/** Apply tanh element-wise in place. */
-void tanhInPlace(std::span<float> values);
-
 /** out = softmax(values) (numerically stable). */
 void softmax(std::span<const float> values, std::span<float> out);
 

@@ -38,8 +38,8 @@ class BinarizedGate
     void refresh(const GateParams &params);
 
     /**
-     * The packed sign rows; tensor::bnnDotPanel / bnnDotRows evaluate
-     * them against binarized inputs (BitVector::assignConcat of x, h).
+     * The packed sign rows; tensor::bnnDotPanel evaluates them against
+     * binarized inputs (BitVector::assignConcat of x, h).
      */
     const tensor::BitMatrix &weights() const { return weights_; }
 

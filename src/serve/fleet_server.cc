@@ -125,16 +125,13 @@ FleetServer::FleetServer(const ModelRegistry &registry,
     }
     if (options_.workers > 1)
         pool_ = std::make_unique<ThreadPool>(options_.workers);
-    // Effective chunk size: chunkSize is an upper bound; with a pool,
-    // cap it so the requested workers can actually split the slot range
-    // (otherwise workers > 1 with slots <= chunkSize would silently
-    // step every tick single-threaded).
-    chunkSize_ = std::max<std::size_t>(1, options_.chunkSize);
-    if (options_.workers > 1)
-        chunkSize_ = std::min(
-            chunkSize_, std::max<std::size_t>(
-                            1, (options_.slots + options_.workers - 1) /
-                                   options_.workers));
+    // Tick chunks: 64 slot indices, the closed batch's default chunk (a
+    // cache line of memo-table slots), capped so every worker gets one;
+    // smaller chunks share memo-table lines across workers, which costs
+    // speed, never correctness.
+    const std::size_t workers = std::max<std::size_t>(1, options_.workers);
+    tickChunk_ = std::min<std::size_t>(
+        64, (options_.slots + workers - 1) / workers);
     stats_.start();
     for (auto &stats : modelStats_)
         stats.start();
@@ -433,10 +430,11 @@ FleetServer::tick()
 
     // Flatten every model's slot-range chunks into one task list and
     // step them on the single shared pool. Chunk boundaries are
-    // slot / chunkSize groups per model, as in forwardBatch, so panel
-    // composition per chunk is independent of worker count — and of
-    // which other models share the fleet.
-    const std::size_t chunk_size = chunkSize_;
+    // slot / tickChunk_ groups per model, as in forwardBatch; every slot
+    // evolves as it would in a panel of its own, so outputs depend
+    // neither on the chunking nor on which other models share the
+    // fleet.
+    const std::size_t chunk_size = tickChunk_;
     auto &tasks = tickTasks_;
     tasks.clear();
     for (std::size_t m = 0; m < models_.size(); ++m) {

@@ -64,12 +64,12 @@ struct FleetOptions
     std::size_t queueCapacity = 64;
 
     /// Stepping threads per tick, including the driver; the single
-    /// private pool is shared by every model's panel chunks.
+    /// private pool is shared by every model's panel chunks. A tick
+    /// steps each model's live slots in chunks of min(64,
+    /// ceil(slots / workers)) slot indices (64 is the default chunk of
+    /// nn::BatchForwardOptions), so every worker gets a chunk; outputs
+    /// are identical for every worker count.
     std::size_t workers = 1;
-
-    /// Upper bound on slots per worker chunk within a tick, per model
-    /// (same contract and default as ServerOptions::chunkSize).
-    std::size_t chunkSize = 64;
 
     /// Admission-time load shedding: reject (fail with ShedError)
     /// requests whose deadline has already expired when they would be
@@ -236,7 +236,7 @@ class FleetServer
     FleetScheduler scheduler_;
 
     std::unique_ptr<ThreadPool> pool_; ///< null when workers == 1
-    std::size_t chunkSize_ = 64;       ///< effective per-tick chunk size
+    std::size_t tickChunk_ = 64;       ///< slot indices per tick chunk
 
     ServingStats stats_;                     ///< aggregate
     std::vector<ServingStats> modelStats_;   ///< per model

@@ -30,7 +30,6 @@ serverFleetOptions(const ServerOptions &options)
     fleet.slots = options.slots;
     fleet.queueCapacity = options.queueCapacity;
     fleet.workers = options.workers;
-    fleet.chunkSize = options.chunkSize;
     fleet.shedExpired = options.shedExpired;
     fleet.queuePolicy = options.queuePolicy;
     fleet.shedPredicted = options.shedPredicted;

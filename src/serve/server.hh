@@ -70,19 +70,9 @@ struct ServerOptions
 
     /// Stepping threads per tick, including the driver thread; 1 steps
     /// every chunk on the driver. Values > 1 spin up a private
-    /// ThreadPool.
+    /// ThreadPool and cut the slots into chunks of min(64,
+    /// ceil(slots / workers)) (FleetOptions::workers).
     std::size_t workers = 1;
-
-    /// Upper bound on slots per worker chunk within a tick (same
-    /// determinism contract as BatchForwardOptions::chunkSize, same
-    /// default, same cache-line rationale — see that field's doc).
-    /// With workers > 1 the server caps the effective chunk size at
-    /// ceil(slots / workers) so the pool actually engages at small
-    /// pool widths; chunks under 64 slots then share memo-table cache
-    /// lines across workers (benign for correctness, see the
-    /// BatchForwardOptions doc). Outputs are identical for every chunk
-    /// geometry either way.
-    std::size_t chunkSize = 64;
 
     /// Admission-time load shedding: when a request's deadline has
     /// already expired by the time a slot frees up for it, fail its

@@ -203,13 +203,16 @@ lanesPortable(const std::uint64_t *shared, const std::uint64_t *const *lanes,
         mism[l] = acc[l];
 }
 
-} // namespace
-
+/**
+ * mism[l] = popcount(shared ^ lanes[l]) summed over @p words words, for
+ * l in [0, lane_count): lane groups of 8/4/2/1 with the shared stream
+ * loaded once per group.
+ */
 void
-xorPopcountPortable(const std::uint64_t *shared,
-                    const std::uint64_t *const *lanes,
-                    std::size_t lane_count, std::size_t words,
-                    std::uint64_t *mism)
+mismatchesPortable(const std::uint64_t *shared,
+                   const std::uint64_t *const *lanes,
+                   std::size_t lane_count, std::size_t words,
+                   std::uint64_t *mism)
 {
     std::size_t l = 0;
     for (; l + 8 <= lane_count; l += 8)
@@ -226,6 +229,8 @@ xorPopcountPortable(const std::uint64_t *shared,
         lanesPortable<1>(shared, lanes + l, words, mism + l);
 }
 
+} // namespace
+
 void
 bnnPanelPortable(const std::uint64_t *rows_base, std::size_t row_stride,
                  std::size_t row_count, const std::uint64_t *const *inputs,
@@ -241,7 +246,7 @@ bnnPanelPortable(const std::uint64_t *rows_base, std::size_t row_stride,
         std::size_t s = 0;
         while (s < input_count) {
             const std::size_t group = std::min<std::size_t>(8, input_count - s);
-            xorPopcountPortable(row, inputs + s, group, words, mism);
+            mismatchesPortable(row, inputs + s, group, words, mism);
             for (std::size_t l = 0; l < group; ++l)
                 row_out[s + l] = static_cast<std::int32_t>(
                     bits - 2 * static_cast<std::int64_t>(mism[l]));
@@ -260,7 +265,6 @@ namespace
 struct BnnDispatch
 {
     BnnIsa isa = BnnIsa::Portable;
-    detail::XorPopcountFn fn = &detail::xorPopcountPortable;
     detail::BnnPanelFn panel = &detail::bnnPanelPortable;
 };
 
@@ -268,11 +272,9 @@ BnnDispatch
 bestDispatch()
 {
     if (detail::cpuHasAvx512Popcount())
-        return {BnnIsa::Avx512, &detail::xorPopcountAvx512,
-                &detail::bnnPanelAvx512};
+        return {BnnIsa::Avx512, &detail::bnnPanelAvx512};
     if (detail::cpuHasAvx2())
-        return {BnnIsa::Avx2, &detail::xorPopcountAvx2,
-                &detail::bnnPanelAvx2};
+        return {BnnIsa::Avx2, &detail::bnnPanelAvx2};
     return {};
 }
 
@@ -318,14 +320,12 @@ bnnSetIsa(BnnIsa isa)
     case BnnIsa::Avx512:
         if (!detail::cpuHasAvx512Popcount())
             return false;
-        dispatch() = {isa, &detail::xorPopcountAvx512,
-                      &detail::bnnPanelAvx512};
+        dispatch() = {isa, &detail::bnnPanelAvx512};
         return true;
     case BnnIsa::Avx2:
         if (!detail::cpuHasAvx2())
             return false;
-        dispatch() = {isa, &detail::xorPopcountAvx2,
-                      &detail::bnnPanelAvx2};
+        dispatch() = {isa, &detail::bnnPanelAvx2};
         return true;
     case BnnIsa::Portable:
         dispatch() = {};
@@ -334,51 +334,7 @@ bnnSetIsa(BnnIsa isa)
     return false;
 }
 
-// ------------------------------------------------------------- wrappers
-
-int
-bnnDot(const BitVector &a, const BitVector &b)
-{
-    nlfm_assert_hot(a.size() == b.size(), "bnnDot: size mismatch ",
-                    a.size(), " vs ", b.size());
-    // Padding bits are zero in both vectors, so they XOR to zero and do
-    // not contribute mismatches.
-    const std::uint64_t *lane = b.raw().data();
-    std::uint64_t mism = 0;
-    dispatch().fn(a.raw().data(), &lane, 1, a.words(), &mism);
-    const auto n = static_cast<long>(a.size());
-    return static_cast<int>(n - 2 * static_cast<long>(mism));
-}
-
-void
-bnnDotRows(const BitMatrix &w, std::size_t row_begin, std::size_t row_count,
-           const BitVector &input, std::span<std::int32_t> out)
-{
-    nlfm_assert_hot(row_begin + row_count <= w.rows(),
-                    "bnnDotRows: row range out of bounds");
-    nlfm_assert_hot(input.size() == w.cols(),
-                    "bnnDotRows: input width mismatch ", input.size(),
-                    " vs ", w.cols());
-    nlfm_assert_hot(out.size() >= row_count, "bnnDotRows: output too small");
-
-    // The input is the shared stream; consecutive weight rows are the
-    // lanes (contiguous in the word-major buffer, wordStride apart).
-    thread_local std::vector<const std::uint64_t *> lanes;
-    thread_local std::vector<std::uint64_t> mism;
-    lanes.resize(row_count);
-    mism.resize(row_count);
-    const std::uint64_t *base = w.wordData() + row_begin * w.wordStride();
-    for (std::size_t r = 0; r < row_count; ++r)
-        lanes[r] = base + r * w.wordStride();
-
-    dispatch().fn(input.raw().data(), lanes.data(), row_count,
-                  w.wordStride(), mism.data());
-
-    const auto bits = static_cast<long>(w.cols());
-    for (std::size_t r = 0; r < row_count; ++r)
-        out[r] =
-            static_cast<int>(bits - 2 * static_cast<long>(mism[r]));
-}
+// --------------------------------------------------------------- entry
 
 void
 bnnDotPanel(const BitMatrix &w, std::size_t row_begin, std::size_t row_count,

@@ -14,8 +14,8 @@
  * adder tree (§3.1.2, §3.3.2). The tail of the last word is kept zeroed in
  * both operands so XOR over padding contributes no mismatches.
  *
- * The probe kernels come in three ISA variants selected once at runtime
- * (bnnBestIsa / bnnSetIsa):
+ * The probe kernel, bnnDotPanel, comes in three ISA variants selected
+ * once at runtime (bnnBestIsa / bnnSetIsa):
  *
  *  - Portable: std::popcount word loop (hardware POPCNT at x86-64-v2+).
  *  - Avx2: the Muła byte-lookup popcount (Muła/Kurz/Lemire, "Faster
@@ -33,10 +33,10 @@
  * dispatched ISA; tests/bitpack_test.cc pins this.
  *
  * All variants share one panel structure (mirroring the float kernels'
- * dotLanesBlock): a *shared* stream (a weight row, or the probe input)
- * is loaded once per block and XOR-popcounted against up to 8 *lane*
- * streams, so evaluating a panel of R weight rows × S slot inputs costs
- * each operand one pass through the cache hierarchy.
+ * dotLanesBlock): a weight row is loaded once per block and
+ * XOR-popcounted against up to 8 input *lanes*, so evaluating a panel of
+ * R weight rows × S slot inputs costs each operand one pass through the
+ * cache hierarchy. A single dot product is a 1 × 1 panel.
  */
 
 #ifndef NLFM_TENSOR_BITPACK_HH
@@ -64,7 +64,6 @@ class BitVector
     static BitVector fromFloats(std::span<const float> values);
 
     std::size_t size() const { return size_; }
-    std::size_t words() const { return words_.size(); }
 
     /** Sign of element @p i as ±1. */
     int get(std::size_t i) const;
@@ -94,15 +93,10 @@ class BitVector
 };
 
 /**
- * BNN dot product of two packed ±1 vectors: sum_i a_i * b_i, an integer in
- * [-N, N] with the same parity as N.
- */
-int bnnDot(const BitVector &a, const BitVector &b);
-
-/**
  * Reference implementation: binarize both float vectors and compute the
- * ±1 dot product with a scalar loop. Used by tests and by the
- * `ablation_bnn_width` bench as the naive baseline.
+ * ±1 dot product with a scalar loop, an integer in [-N, N] with the same
+ * parity as N. The kernel tests check bnnDotPanel against it, and
+ * bench_micro_kernels times it as the naive baseline (BM_BnnDotNaive).
  */
 int bnnDotNaive(std::span<const float> a, std::span<const float> b);
 
@@ -148,7 +142,7 @@ class BitMatrix
     CacheAlignedVector<std::uint64_t> words_;
 };
 
-/** Runtime-dispatched ISA variants of the probe kernels. */
+/** Runtime-dispatched ISA variants of the probe kernel. */
 enum class BnnIsa
 {
     Portable, ///< std::popcount word loop
@@ -162,7 +156,7 @@ const char *bnnIsaName(BnnIsa isa);
 /** Best variant this CPU supports (detected once, via cpuid). */
 BnnIsa bnnBestIsa();
 
-/** Variant the probe kernels currently dispatch to. */
+/** Variant the probe kernel currently dispatches to. */
 BnnIsa bnnActiveIsa();
 
 /**
@@ -174,17 +168,9 @@ BnnIsa bnnActiveIsa();
 bool bnnSetIsa(BnnIsa isa);
 
 /**
- * Column kernel: out[i] = BNN dot of weight row (row_begin + i) against
- * @p input, for i in [0, row_count). The input stream is loaded once per
- * block of up to 8 rows.
- */
-void bnnDotRows(const BitMatrix &w, std::size_t row_begin,
-                std::size_t row_count, const BitVector &input,
-                std::span<std::int32_t> out);
-
-/**
- * Panel kernel: out[r * inputs.size() + s] = BNN dot of weight row
- * (row_begin + r) against packed input s. Each weight row streams once
+ * The probe kernel: out[r * inputs.size() + s] = BNN dot of weight row
+ * (row_begin + r) against packed input s, i.e. sum_i w_i * in_i over the
+ * w.cols() ±1 elements. Each weight row streams once
  * per block of up to 8 inputs; @p inputs point at word buffers of
  * w.wordStride() words (zero-padded tails), e.g. BitVector::raw().data()
  * of vectors of w.cols() elements.
@@ -196,16 +182,6 @@ void bnnDotPanel(const BitMatrix &w, std::size_t row_begin,
 
 namespace detail
 {
-
-/**
- * Variant entry point: mism[l] = popcount(shared ^ lanes[l]) summed over
- * @p words words, for l in [0, lane_count). Implementations block lanes
- * in groups of 8/4/2/1 with the shared stream loaded once per group.
- */
-using XorPopcountFn = void (*)(const std::uint64_t *shared,
-                               const std::uint64_t *const *lanes,
-                               std::size_t lane_count, std::size_t words,
-                               std::uint64_t *mism);
 
 /**
  * Variant panel entry point: out[r * input_count + s] = bits -
@@ -220,19 +196,6 @@ using BnnPanelFn = void (*)(const std::uint64_t *rows_base,
                             const std::uint64_t *const *inputs,
                             std::size_t input_count, std::size_t words,
                             std::int32_t bits, std::int32_t *out);
-
-void xorPopcountPortable(const std::uint64_t *shared,
-                         const std::uint64_t *const *lanes,
-                         std::size_t lane_count, std::size_t words,
-                         std::uint64_t *mism);
-void xorPopcountAvx2(const std::uint64_t *shared,
-                     const std::uint64_t *const *lanes,
-                     std::size_t lane_count, std::size_t words,
-                     std::uint64_t *mism);
-void xorPopcountAvx512(const std::uint64_t *shared,
-                       const std::uint64_t *const *lanes,
-                       std::size_t lane_count, std::size_t words,
-                       std::uint64_t *mism);
 
 void bnnPanelPortable(const std::uint64_t *rows_base,
                       std::size_t row_stride, std::size_t row_count,

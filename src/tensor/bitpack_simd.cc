@@ -1,7 +1,7 @@
 /**
  * @file
- * AVX2 and AVX-512 variants of the XOR-popcount kernels, plus the cpuid
- * feature checks behind the runtime dispatch in bitpack.cc.
+ * AVX2 and AVX-512 variants of the XOR-popcount probe panel kernel, plus
+ * the cpuid feature checks behind the runtime dispatch in bitpack.cc.
  *
  * Everything here is explicit intrinsics behind per-function target
  * attributes: the project deliberately does not compile with
@@ -128,17 +128,6 @@ reduceAvx2(__m256i acc)
            static_cast<std::uint64_t>(_mm_extract_epi64(pair, 1));
 }
 
-template <int kLanes>
-NLFM_TARGET_AVX2 __attribute__((noinline)) void
-lanesAvx2(const std::uint64_t *shared, const std::uint64_t *const *lanes,
-          std::size_t words, std::uint64_t *mism)
-{
-    __m256i acc[kLanes];
-    accumulateAvx2<kLanes>(shared, lanes, words, acc);
-    for (int l = 0; l < kLanes; ++l)
-        mism[l] = reduceAvx2(acc[l]);
-}
-
 /**
  * AVX2 panel: rows x lane-group, row loop inside the target function.
  */
@@ -245,21 +234,6 @@ reduce1Avx512(__m512i acc)
     return total;
 }
 
-template <int kLanes>
-NLFM_TARGET_AVX512 __attribute__((noinline)) void
-lanesAvx512(const std::uint64_t *shared, const std::uint64_t *const *lanes,
-            std::size_t words, std::uint64_t *mism)
-{
-    __m512i acc[kLanes];
-    accumulateAvx512<kLanes>(shared, lanes, words, acc);
-    if constexpr (kLanes == 8) {
-        _mm512_storeu_si512(mism, reduce8Avx512(acc));
-        return;
-    }
-    for (int l = 0; l < kLanes; ++l)
-        mism[l] = reduce1Avx512(acc[l]);
-}
-
 /**
  * AVX-512 panel: rows x lane-group, row loop inside the target
  * function; the 8-lane instantiation converts mismatches to BNN dots
@@ -299,46 +273,6 @@ panelRowsAvx512(const std::uint64_t *rows_base, std::size_t row_stride,
 #undef NLFM_TARGET_AVX512
 
 } // namespace
-
-void
-xorPopcountAvx2(const std::uint64_t *shared,
-                const std::uint64_t *const *lanes, std::size_t lane_count,
-                std::size_t words, std::uint64_t *mism)
-{
-    std::size_t l = 0;
-    for (; l + 8 <= lane_count; l += 8)
-        lanesAvx2<8>(shared, lanes + l, words, mism + l);
-    if (lane_count - l >= 4) {
-        lanesAvx2<4>(shared, lanes + l, words, mism + l);
-        l += 4;
-    }
-    if (lane_count - l >= 2) {
-        lanesAvx2<2>(shared, lanes + l, words, mism + l);
-        l += 2;
-    }
-    if (lane_count - l == 1)
-        lanesAvx2<1>(shared, lanes + l, words, mism + l);
-}
-
-void
-xorPopcountAvx512(const std::uint64_t *shared,
-                  const std::uint64_t *const *lanes, std::size_t lane_count,
-                  std::size_t words, std::uint64_t *mism)
-{
-    std::size_t l = 0;
-    for (; l + 8 <= lane_count; l += 8)
-        lanesAvx512<8>(shared, lanes + l, words, mism + l);
-    if (lane_count - l >= 4) {
-        lanesAvx512<4>(shared, lanes + l, words, mism + l);
-        l += 4;
-    }
-    if (lane_count - l >= 2) {
-        lanesAvx512<2>(shared, lanes + l, words, mism + l);
-        l += 2;
-    }
-    if (lane_count - l == 1)
-        lanesAvx512<1>(shared, lanes + l, words, mism + l);
-}
 
 void
 bnnPanelAvx2(const std::uint64_t *rows_base, std::size_t row_stride,

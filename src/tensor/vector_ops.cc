@@ -395,59 +395,6 @@ axpy(float alpha, std::span<const float> x, std::span<float> y)
         y[i] += alpha * x[i];
 }
 
-void
-scale(std::span<float> x, float alpha)
-{
-    for (auto &value : x)
-        value *= alpha;
-}
-
-void
-hadamard(std::span<const float> a, std::span<const float> b,
-         std::span<float> out)
-{
-    nlfm_assert_hot(a.size() == b.size() && a.size() == out.size(),
-                    "hadamard: size mismatch");
-    for (std::size_t i = 0; i < a.size(); ++i)
-        out[i] = a[i] * b[i];
-}
-
-void
-add(std::span<const float> a, std::span<const float> b, std::span<float> out)
-{
-    nlfm_assert_hot(a.size() == b.size() && a.size() == out.size(),
-                    "add: size mismatch");
-    for (std::size_t i = 0; i < a.size(); ++i)
-        out[i] = a[i] + b[i];
-}
-
-float
-norm2(std::span<const float> x)
-{
-    double acc = 0.0;
-    for (float value : x)
-        acc += static_cast<double>(value) * static_cast<double>(value);
-    return static_cast<float>(std::sqrt(acc));
-}
-
-float
-maxAbs(std::span<const float> x)
-{
-    float best = 0.f;
-    for (float value : x)
-        best = std::max(best, std::fabs(value));
-    return best;
-}
-
-float
-sum(std::span<const float> x)
-{
-    double acc = 0.0;
-    for (float value : x)
-        acc += value;
-    return static_cast<float>(acc);
-}
-
 double
 relativeDifference(double a, double b)
 {

@@ -3,8 +3,8 @@
  * Dense float vector kernels.
  *
  * These are the numerical primitives behind gate evaluation: dot products
- * (the DPU's job in E-PUR), axpy/scale/hadamard (the MU's job) and a few
- * reductions used by the analysis probes.
+ * (the DPU's job in E-PUR), axpy (Matrix's transposed product) and the
+ * relative difference of the paper's reuse criteria.
  */
 
 #ifndef NLFM_TENSOR_VECTOR_OPS_HH
@@ -64,26 +64,6 @@ bool dotLanesGroupIsWide();
 
 /** y += alpha * x. */
 void axpy(float alpha, std::span<const float> x, std::span<float> y);
-
-/** x *= alpha. */
-void scale(std::span<float> x, float alpha);
-
-/** out = a (element-wise *) b. */
-void hadamard(std::span<const float> a, std::span<const float> b,
-              std::span<float> out);
-
-/** out = a + b. */
-void add(std::span<const float> a, std::span<const float> b,
-         std::span<float> out);
-
-/** Euclidean norm. */
-float norm2(std::span<const float> x);
-
-/** Max |x_i|. */
-float maxAbs(std::span<const float> x);
-
-/** Sum of elements. */
-float sum(std::span<const float> x);
 
 /**
  * Relative difference |a - b| / |a| with the convention used throughout

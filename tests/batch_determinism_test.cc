@@ -215,14 +215,14 @@ struct MemoCase
 {
     const char *name;
     memo::PredictorKind predictor;
-    /// fixedPoint and throttle: on selects the AVX-512 decide and
-    /// masked commit (where the host has them), off the scalar loop.
-    bool fixedPointThrottle;
+    /// Throttling: on selects the AVX-512 decide and masked commit
+    /// (where the host has them), off the scalar loop.
+    bool throttle;
     double theta;
 };
 
 /**
- * The fixed-point throttled cases decide through the vector path, so
+ * The throttled BNN cases decide through the vector path, so
  * where the host has the wide kernel, panels of more than 8 live slots
  * decide their neurons in groups of four before committing them (the
  * per-neuron flow takes smaller panels). At theta 0.2 nearly every slot
@@ -233,10 +233,9 @@ struct MemoCase
  */
 constexpr MemoCase kMemoCases[] = {
     {"oracle", memo::PredictorKind::Oracle, true, 0.1},
-    {"bnn fixed-point throttled", memo::PredictorKind::Bnn, true, 0.2},
-    {"bnn double unthrottled", memo::PredictorKind::Bnn, false, 0.2},
-    {"bnn fixed-point throttled, high theta", memo::PredictorKind::Bnn,
-     true, 2.0},
+    {"bnn throttled", memo::PredictorKind::Bnn, true, 0.2},
+    {"bnn unthrottled", memo::PredictorKind::Bnn, false, 0.2},
+    {"bnn throttled, high theta", memo::PredictorKind::Bnn, true, 2.0},
 };
 
 /** The serial MemoEngine's results on the first kLargestBatch inputs. */
@@ -323,8 +322,7 @@ TEST(BatchDeterminismTest, MemoizedPathIdenticalOutputsAndStats)
                 SCOPED_TRACE(config.describe() + ", " + memo_case.name);
                 memo::MemoOptions memo_options;
                 memo_options.predictor = memo_case.predictor;
-                memo_options.fixedPoint = memo_case.fixedPointThrottle;
-                memo_options.throttle = memo_case.fixedPointThrottle;
+                memo_options.throttle = memo_case.throttle;
                 memo_options.theta = memo_case.theta;
                 const SerialReference reference =
                     serialReference(network, bnn, memo_options, sequences);

@@ -1,7 +1,7 @@
 /**
  * @file
- * Identity tests for the bit-packed BNN probe kernels across ISA
- * variants (tensor/bitpack.hh, tensor/bitpack_simd.cc).
+ * Identity tests for the bit-packed BNN probe kernel, bnnDotPanel,
+ * across ISA variants (tensor/bitpack.hh, tensor/bitpack_simd.cc).
  *
  * The whole point of the runtime dispatch is that it can never change a
  * memoization decision: every variant computes the same exact integers.
@@ -49,6 +49,16 @@ supportedIsas()
     return isas;
 }
 
+/** bnnDotPanel of weight rows [0, rows) against one packed input. */
+std::vector<std::int32_t>
+panelOneInput(const BitMatrix &w, std::size_t rows, const BitVector &input)
+{
+    const std::uint64_t *words = input.raw().data();
+    std::vector<std::int32_t> out(rows, -12345);
+    bnnDotPanel(w, 0, rows, {&words, 1}, out);
+    return out;
+}
+
 /** Restore the default dispatch after each forced-variant test. */
 class BitpackIsaTest : public ::testing::Test
 {
@@ -79,12 +89,13 @@ TEST_F(BitpackIsaTest, BnnDotMatchesNaiveOnEveryVariantAndTailSize)
     for (const std::size_t n : kTailSizes) {
         const auto a = randomVector(rng, n);
         const auto b = randomVector(rng, n);
-        const BitVector pa = BitVector::fromFloats(a);
+        BitMatrix pa(1, n);
+        pa.setRow(0, a);
         const BitVector pb = BitVector::fromFloats(b);
         const int naive = bnnDotNaive(a, b);
         for (BnnIsa isa : supportedIsas()) {
             ASSERT_TRUE(bnnSetIsa(isa));
-            EXPECT_EQ(bnnDot(pa, pb), naive)
+            EXPECT_EQ(panelOneInput(pa, 1, pb)[0], naive)
                 << "n=" << n << " isa=" << bnnIsaName(isa);
         }
     }
@@ -106,8 +117,7 @@ TEST_F(BitpackIsaTest, DotRowsIdenticalAcrossVariantsAndRowCounts)
 
             for (BnnIsa isa : supportedIsas()) {
                 ASSERT_TRUE(bnnSetIsa(isa));
-                std::vector<std::int32_t> out(rows, -12345);
-                bnnDotRows(w, 0, rows, packed, out);
+                const auto out = panelOneInput(w, rows, packed);
                 for (std::size_t r = 0; r < rows; ++r)
                     EXPECT_EQ(out[r], bnnDotNaive(row_floats[r], input))
                         << "n=" << n << " rows=" << rows << " r=" << r

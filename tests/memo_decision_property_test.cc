@@ -2,15 +2,15 @@
 /// Property/fuzz sweep of the per-neuron reuse decision
 /// (memo/memo_decision.hh) and its AVX-512 panel twin.
 ///
-/// The fixed-point BNN decision replaced its division with the
-/// algebraic rewrite
+/// The BNN decision compares delta_b in Q16.16, the FMU's fixed-point
+/// CMP unit. It replaced its division with the algebraic rewrite
 ///
 ///     prev + floor((diff << 16) / mag) <= theta
 ///         ⟺  diff << 16 < (theta - prev + 1) * mag
 ///
-/// and PR 6 additionally vectorized it for dense panels whose slots all
-/// sit at ONE theta (including non-default ones — serving autopilots
-/// retune whole panels away from the default). Both rewrites are pure
+/// and is additionally vectorized for dense panels whose slots all sit
+/// at ONE theta (including non-default ones — serving autopilots retune
+/// whole panels away from the default). Both rewrites are pure
 /// scheduling: decisions must be bit-identical to the naive
 /// divide-then-compare reference at every input, especially at the Q16
 /// boundaries where an off-by-one in the rewrite would flip a decision.
@@ -18,16 +18,21 @@
 ///  - Kernel level: bnnReuseDecision vs a literal division-based
 ///    reference over randomized values, exact-boundary constructions
 ///    (delta lands exactly on theta), saturated thetas, yb_t = 0, and
-///    the throttling on/off x fixed-point on/off grid.
+///    throttling on and off.
+///  - Real-number level: the Q16 decision agrees with Eqs. 12-14
+///    evaluated over the reals (in double, in this test only) whenever
+///    the accumulated delta_b is more than two Q16 ulps from theta, and
+///    a stored delta_b trails the real one by less than one ulp.
 ///  - Engine level: a NetworkStepper-driven panel with every slot at
-///    the same NON-default theta (the PR 6 uniform-theta vector path)
+///    the same NON-default theta (the uniform-theta vector path)
 ///    evaluated under a forced-portable and a forced-AVX-512 probe ISA
 ///    must produce bitwise-identical outputs and reuse counters, and
-///    match the serial MemoEngine at that theta. Skips the AVX-512 arm
-///    on hosts without it.
+///    match the one-sequence MemoEngine at that theta. Skips the
+///    AVX-512 arm on hosts without it.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <iterator>
 #include <limits>
@@ -40,7 +45,6 @@
 #include "nn/network_stepper.hh"
 #include "nn/rnn_network.hh"
 #include "tensor/bitpack.hh"
-#include "tensor/vector_ops.hh"
 
 namespace nlfm
 {
@@ -54,9 +58,7 @@ namespace
 /// but obviously Eq. 12-14.
 memo::BnnDecision
 referenceBnnDecision(std::int32_t yb_t, std::int32_t yb_m, bool valid,
-                     std::int64_t prev_raw, double prev_fp,
-                     bool throttle, bool fixed_point, double theta,
-                     Q16 theta_q)
+                     std::int64_t prev_raw, bool throttle, Q16 theta_q)
 {
     memo::BnnDecision decision;
     if (!valid)
@@ -65,50 +67,34 @@ referenceBnnDecision(std::int32_t yb_t, std::int32_t yb_m, bool valid,
     if (yb_t == 0) {
         if (yb_m == 0) {
             decision.deltaRaw = throttle ? prev_raw : 0;
-            decision.deltaFp = throttle ? prev_fp : 0.0;
-            decision.reuse =
-                fixed_point ? Q16::fromRaw(decision.deltaRaw) <= theta_q
-                            : decision.deltaFp <= theta;
+            decision.reuse = Q16::fromRaw(decision.deltaRaw) <= theta_q;
         }
         return decision;
     }
 
-    if (fixed_point) {
-        const std::int64_t diff =
-            std::abs(static_cast<std::int64_t>(yb_t) - yb_m);
-        const std::int64_t mag =
-            std::abs(static_cast<std::int64_t>(yb_t));
-        const std::int64_t prev = throttle ? prev_raw : 0;
-        const std::int64_t delta = prev + ((diff << 16) / mag);
-        if (Q16::fromRaw(delta) <= theta_q) {
-            decision.deltaRaw = delta;
-            decision.reuse = true;
-        }
-        return decision;
+    const std::int64_t diff =
+        std::abs(static_cast<std::int64_t>(yb_t) - yb_m);
+    const std::int64_t mag = std::abs(static_cast<std::int64_t>(yb_t));
+    const std::int64_t prev = throttle ? prev_raw : 0;
+    const std::int64_t delta = prev + ((diff << 16) / mag);
+    if (Q16::fromRaw(delta) <= theta_q) {
+        decision.deltaRaw = delta;
+        decision.reuse = true;
     }
-
-    const double eps = tensor::relativeDifference(
-        static_cast<double>(yb_t), static_cast<double>(yb_m));
-    decision.deltaFp = (throttle ? prev_fp : 0.0) + eps;
-    decision.reuse = decision.deltaFp <= theta;
     return decision;
 }
 
 void
 expectSameDecision(std::int32_t yb_t, std::int32_t yb_m, bool valid,
-                   std::int64_t prev_raw, double prev_fp, bool throttle,
-                   bool fixed_point, double theta, Q16 theta_q)
+                   std::int64_t prev_raw, bool throttle, Q16 theta_q)
 {
-    const memo::BnnDecision expected =
-        referenceBnnDecision(yb_t, yb_m, valid, prev_raw, prev_fp,
-                             throttle, fixed_point, theta, theta_q);
-    const memo::BnnDecision actual =
-        memo::bnnReuseDecision(yb_t, yb_m, valid, prev_raw, prev_fp,
-                               throttle, fixed_point, theta, theta_q);
+    const memo::BnnDecision expected = referenceBnnDecision(
+        yb_t, yb_m, valid, prev_raw, throttle, theta_q);
+    const memo::BnnDecision actual = memo::bnnReuseDecision(
+        yb_t, yb_m, valid, prev_raw, throttle, theta_q);
     ASSERT_EQ(expected.reuse, actual.reuse)
         << "yb_t=" << yb_t << " yb_m=" << yb_m << " valid=" << valid
-        << " prev_raw=" << prev_raw << " prev_fp=" << prev_fp
-        << " throttle=" << throttle << " fixed_point=" << fixed_point
+        << " prev_raw=" << prev_raw << " throttle=" << throttle
         << " theta_raw=" << theta_q.raw();
     // The stored delta only matters when reusing (misses refresh the
     // entry), but when it is stored it feeds every later decision of
@@ -118,9 +104,6 @@ expectSameDecision(std::int32_t yb_t, std::int32_t yb_m, bool valid,
             << "yb_t=" << yb_t << " yb_m=" << yb_m
             << " prev_raw=" << prev_raw
             << " theta_raw=" << theta_q.raw();
-        ASSERT_EQ(expected.deltaFp, actual.deltaFp)
-            << "yb_t=" << yb_t << " yb_m=" << yb_m
-            << " prev_fp=" << prev_fp << " theta=" << theta;
     }
 }
 
@@ -158,7 +141,6 @@ TEST(MemoDecisionProperty, RandomizedAgainstDivisionReference)
                 : drawBnnValue(rng);
         const bool valid = rng.uniformInt(8) != 0;
         const bool throttle = rng.uniformInt(4) != 0;
-        const bool fixed_point = rng.uniformInt(2) == 0;
         const double theta =
             thetas[rng.uniformInt(std::size(thetas))];
         const Q16 theta_q = Q16::fromDouble(theta);
@@ -167,10 +149,8 @@ TEST(MemoDecisionProperty, RandomizedAgainstDivisionReference)
         const std::int64_t prev_raw = static_cast<std::int64_t>(
             rng.uniformInt(
                 2 * static_cast<std::uint64_t>(theta_q.raw()) + 2));
-        const double prev_fp =
-            static_cast<double>(prev_raw) / 65536.0;
-        expectSameDecision(yb_t, yb_m, valid, prev_raw, prev_fp,
-                           throttle, fixed_point, theta, theta_q);
+        expectSameDecision(yb_t, yb_m, valid, prev_raw, throttle,
+                           theta_q);
         if (HasFatalFailure())
             return;
     }
@@ -204,10 +184,8 @@ TEST(MemoDecisionProperty, ExactQ16BoundaryCases)
                      {prev + q - 1, prev + q, prev + q + 1}) {
                     if (theta_raw < 0)
                         continue;
-                    const Q16 theta_q = Q16::fromRaw(theta_raw);
-                    expectSameDecision(yb_t, yb_m, true, prev,
-                                       0.0, true, true,
-                                       theta_q.toDouble(), theta_q);
+                    expectSameDecision(yb_t, yb_m, true, prev, true,
+                                       Q16::fromRaw(theta_raw));
                     if (HasFatalFailure())
                         return;
                 }
@@ -229,22 +207,98 @@ TEST(MemoDecisionProperty, SaturatedThetaAndZeroOutputs)
             for (const bool throttle : {false, true})
                 for (const std::int64_t prev :
                      {std::int64_t{0}, std::int64_t{1} << 30}) {
-                    expectSameDecision(yb_t, yb_m, true, prev,
-                                       static_cast<double>(prev) /
-                                           65536.0,
-                                       throttle, true, 1e18,
+                    expectSameDecision(yb_t, yb_m, true, prev, throttle,
                                        saturated);
                     if (HasFatalFailure())
                         return;
                     // Theta zero: only an exact BNN match may reuse.
-                    expectSameDecision(yb_t, yb_m, true, prev,
-                                       static_cast<double>(prev) /
-                                           65536.0,
-                                       throttle, true, 0.0,
+                    expectSameDecision(yb_t, yb_m, true, prev, throttle,
                                        Q16::fromDouble(0.0));
                     if (HasFatalFailure())
                         return;
                 }
+}
+
+// ------------------------------------------- real-number agreement
+
+/// One Q16 ulp of delta_b and theta.
+constexpr double kQ16Ulp = 1.0 / 65536.0;
+
+/// The band above theta, in Q16 ulps, beyond which the Q16 decision
+/// must miss like the real-number one. In ulps, let D = 2^16 * (prev +
+/// eps_b) and T = 2^16 * theta. The kernel reuses iff prev_raw +
+/// floor(2^16 * eps_b) = floor(D) is at most theta rounded to the
+/// nearest Q16 value, which lies in [T - 1/2, T + 1/2]. So it reuses
+/// wherever the reals do (D <= T), and where they do not only for D in
+/// (T, T + 3/2). Evaluating D in double errs by far less than an ulp
+/// (D < 2^20 near theta), so a band of two ulps is enough.
+constexpr double kBandUlps = 2.0;
+
+/// Eqs. 12-14 over the reals, evaluated in double: delta_b = prev +
+/// |yb_t - yb_m| / |yb_t|, with eps_b = 0 when both outputs are zero
+/// and infinite when only yb_t is.
+double
+realDelta(std::int32_t yb_t, std::int32_t yb_m, double prev)
+{
+    if (yb_t == 0)
+        return yb_m == 0 ? prev : std::numeric_limits<double>::infinity();
+    const double diff = std::abs(static_cast<double>(yb_t) - yb_m);
+    return prev + diff / std::abs(static_cast<double>(yb_t));
+}
+
+TEST(MemoDecisionProperty, Q16AgreesWithRealNumbersOutsideBand)
+{
+    // The Q16 CMP approximates Eqs. 12-14 over the reals: decision by
+    // decision, it may only differ by reusing where delta_b exceeds
+    // theta by at most kBandUlps.
+    Rng rng(20261019);
+    const double thetas[] = {0.0, 0.001, 0.0122, 0.05, 0.3, 1.0, 7.5};
+    std::size_t checked = 0;
+    std::size_t reused = 0;
+    const std::size_t trials = 40000;
+    for (std::size_t trial = 0; trial < trials; ++trial) {
+        const std::int32_t yb_t = drawBnnValue(rng);
+        const std::int32_t yb_m =
+            trial % 2 == 0
+                ? yb_t +
+                      static_cast<std::int32_t>(rng.uniformInt(9)) - 4
+                : drawBnnValue(rng);
+        const bool throttle = rng.uniformInt(4) != 0;
+        // Half the trials draw theta off the grid, so Q16 rounds it.
+        const double theta =
+            trial % 4 < 2 ? thetas[rng.uniformInt(std::size(thetas))]
+                          : rng.uniform() * 2.0;
+        const Q16 theta_q = Q16::fromDouble(theta);
+        const std::int64_t prev_raw = static_cast<std::int64_t>(
+            rng.uniformInt(
+                2 * static_cast<std::uint64_t>(theta_q.raw()) + 2));
+
+        const double delta = realDelta(
+            yb_t, yb_m,
+            throttle ? static_cast<double>(prev_raw) * kQ16Ulp : 0.0);
+        if (delta > theta && delta - theta <= kBandUlps * kQ16Ulp)
+            continue;
+        ++checked;
+        const memo::BnnDecision decision = memo::bnnReuseDecision(
+            yb_t, yb_m, true, prev_raw, throttle, theta_q);
+        ASSERT_EQ(decision.reuse, delta <= theta)
+            << "yb_t=" << yb_t << " yb_m=" << yb_m
+            << " prev_raw=" << prev_raw << " throttle=" << throttle
+            << " theta=" << theta << " delta=" << delta;
+        if (!decision.reuse)
+            continue;
+        ++reused;
+        // The stored delta_b is the real one truncated to Q16: each
+        // reuse lets the accumulation trail the reals by under an ulp.
+        const double trail =
+            delta / kQ16Ulp - static_cast<double>(decision.deltaRaw);
+        ASSERT_GE(trail, -1e-6) << "yb_t=" << yb_t << " yb_m=" << yb_m;
+        ASSERT_LT(trail, 1.0 + 1e-6) << "yb_t=" << yb_t << " yb_m=" << yb_m;
+    }
+    // The band excludes few draws, and both outcomes are exercised.
+    EXPECT_GT(checked, trials * 9 / 10);
+    EXPECT_GT(reused, trials / 20);
+    EXPECT_GT(checked - reused, trials / 20);
 }
 
 // --------------------------------------------- engine-level ISA identity

@@ -333,30 +333,6 @@ TEST(MemoEngineTest, ThrottlingBoundsReuseRunLengths)
     EXPECT_LE(longest_run(true), longest_run(false));
 }
 
-// -------------------------------------------------------- fixed point
-
-TEST(MemoEngineTest, FixedPointTracksFloatingPointDecisions)
-{
-    Fixture f(CellType::Lstm, false, 2, 14, /*seed=*/11);
-    for (double theta : {0.05, 0.2}) {
-        MemoOptions fixed;
-        fixed.theta = theta;
-        fixed.fixedPoint = true;
-        MemoEngine engine_fixed(*f.network, f.bnn.get(), fixed);
-        f.network->forward(f.inputs, engine_fixed);
-
-        MemoOptions fp = fixed;
-        fp.fixedPoint = false;
-        MemoEngine engine_fp(*f.network, f.bnn.get(), fp);
-        f.network->forward(f.inputs, engine_fp);
-
-        // Q16.16 quantization can flip borderline decisions but the
-        // aggregate reuse must agree closely.
-        EXPECT_NEAR(engine_fixed.stats().reuseFraction(),
-                    engine_fp.stats().reuseFraction(), 0.02);
-    }
-}
-
 TEST(MemoEngineTest, SetThetaTakesEffect)
 {
     Fixture f;

@@ -213,8 +213,9 @@ signOutput(const BinarizedGate &gate, std::size_t neuron,
 {
     tensor::BitVector input(x.size() + h.size());
     input.assignConcat(x, h);
+    const std::uint64_t *words = input.raw().data();
     std::int32_t out = 0;
-    tensor::bnnDotRows(gate.weights(), neuron, 1, input, {&out, 1});
+    tensor::bnnDotPanel(gate.weights(), neuron, 1, {&words, 1}, {&out, 1});
     return out;
 }
 

@@ -10,8 +10,8 @@
  *  - the stack: layer by layer, each bidirectional layer's backward
  *    cell consuming x_N..x_1;
  *  - the Oracle decision (Eqs. 9-11) and the BNN decision (Eqs. 12-17)
- *    with delta_b in Q16.16 (division form) or in double, with or
- *    without throttling (Eq. 13);
+ *    with delta_b in Q16.16 (division form), with or without throttling
+ *    (Eq. 13);
  *  - the per-gate reuse counts.
  *
  * It reads weights through RnnNetwork::gateParams, gateInstances and
@@ -63,8 +63,6 @@ struct ReferenceOptions
     double theta = 0.0;
     /** Accumulate eps_b over consecutive reuses (Eq. 13). */
     bool throttle = true;
-    /** delta_b in Q16.16 (true) or double (false). */
-    bool fixedPoint = true;
 };
 
 /** w . x in tensor::dotLanes' operation order. */
@@ -193,7 +191,6 @@ class ScalarReference
         float y = 0.f;
         std::int32_t yb = 0;
         std::int64_t deltaQ16 = 0;
-        double delta = 0.0;
         bool valid = false;
     };
 
@@ -215,24 +212,15 @@ class ScalarReference
         // (yb_m = 0 too) counts as eps_b = 0 there.
         if (yb_t == 0 && entry.yb != 0)
             return false;
-        if (options_.fixedPoint) {
-            const std::int64_t eps =
-                yb_t == 0
-                    ? 0
-                    : (std::abs(std::int64_t{yb_t} - entry.yb) << 16) /
-                          std::abs(std::int64_t{yb_t});
-            const std::int64_t delta =
-                (options_.throttle ? entry.deltaQ16 : 0) + eps; // Eq. 13
-            if (delta > thetaRaw_)                              // Eq. 14
-                return false;
-            entry.deltaQ16 = delta;
-            return true;
-        }
-        const double eps = relativeChange(yb_t, entry.yb);
-        const double delta = (options_.throttle ? entry.delta : 0.0) + eps;
-        if (delta > options_.theta)
+        const std::int64_t eps =
+            yb_t == 0 ? 0
+                      : (std::abs(std::int64_t{yb_t} - entry.yb) << 16) /
+                            std::abs(std::int64_t{yb_t});
+        const std::int64_t delta =
+            (options_.throttle ? entry.deltaQ16 : 0) + eps; // Eq. 13
+        if (delta > thetaRaw_)                              // Eq. 14
             return false;
-        entry.delta = delta;
+        entry.deltaQ16 = delta;
         return true;
     }
 
@@ -268,7 +256,7 @@ class ScalarReference
             } else {
                 // Eqs. 11 and 15-17: emit y_t, refresh the entry.
                 out[n] = y_t;
-                entry = Entry{y_t, yb_t, 0, 0.0, true};
+                entry = Entry{y_t, yb_t, 0, true};
             }
             ++total_[id];
         }

@@ -4,11 +4,11 @@
  * scalar_reference.hh): outputs and per-gate reuse counts, bit for bit,
  * for every cell family, uni- and bidirectional stacks, hidden sizes
  * with 8-lane tails, and each evaluation the library offers: exact,
- * Oracle, BNN with Q16 delta_b and throttling, and BNN with double
- * delta_b and no throttling. Two sequences run through one engine, so
- * the per-sequence cold start and the cumulative counters are pinned
- * too. One GRU case has gates above nn::kMinSplitWork at a single row,
- * so the neuron split of a one-sequence forward is pinned as well.
+ * Oracle, and BNN (Q16 delta_b) with and without throttling. Two
+ * sequences run through one engine, so the per-sequence cold start and
+ * the cumulative counters are pinned too. One GRU case has gates above
+ * nn::kMinSplitWork at a single row, so the neuron split of a
+ * one-sequence forward is pinned as well.
  */
 
 #include <gtest/gtest.h>
@@ -50,7 +50,6 @@ struct EvalCase
     Predictor predictor;
     double theta;
     bool throttle;
-    bool fixedPoint;
 };
 
 const NetworkCase kNetworks[] = {
@@ -67,12 +66,13 @@ const NetworkCase kNetworks[] = {
 };
 
 const EvalCase kEvals[] = {
-    {"Exact", Predictor::Exact, 0.0, true, true},
-    {"Oracle", Predictor::Oracle, 0.05, false, true},
-    {"BnnQ16Throttled", Predictor::Bnn, 0.3, true, true},
-    {"BnnDoubleUnthrottled", Predictor::Bnn, 0.3, false, false},
+    {"Exact", Predictor::Exact, 0.0, true},
+    {"Oracle", Predictor::Oracle, 0.05, false},
+    {"BnnQ16Throttled", Predictor::Bnn, 0.3, true},
+    // bench_fig11's "without throttling" arm.
+    {"BnnQ16Unthrottled", Predictor::Bnn, 0.3, false},
     // batch_ds2's operating point.
-    {"BnnQ16Theta0122", Predictor::Bnn, 0.0122, true, true},
+    {"BnnQ16Theta0122", Predictor::Bnn, 0.0122, true},
 };
 
 void
@@ -144,7 +144,7 @@ TEST_P(ReferenceTest, ForwardMatchesScalarReference)
     nn::BinarizedNetwork bnn(network);
 
     const ReferenceOptions ref_options{eval.predictor, eval.theta,
-                                       eval.throttle, eval.fixedPoint};
+                                       eval.throttle};
     ScalarReference reference(network, ref_options);
     const nn::Sequence inputs[2] = {
         smoothSequence(net.steps, net.input, 101),
@@ -163,7 +163,6 @@ TEST_P(ReferenceTest, ForwardMatchesScalarReference)
                             : memo::PredictorKind::Bnn;
     options.theta = eval.theta;
     options.throttle = eval.throttle;
-    options.fixedPoint = eval.fixedPoint;
     memo::MemoEngine engine(network, &bnn, options);
     for (std::size_t s = 0; s < 2; ++s)
         expectBitwise(reference.forward(inputs[s]),
