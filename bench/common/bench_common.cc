@@ -28,23 +28,8 @@ parseBenchArgs(int argc, const char *const *argv,
     cli.addInt("sequences", 0, "sequences per split (0 = spec default)");
     cli.addInt("theta-points", 8, "threshold sweep resolution");
     cli.addBool("quick", false, "downsized smoke run");
-    cli.addBool("admission-sweep", false,
-                "serving benches: also sweep FIFO vs EDF + predictive "
-                "shedding past the queueing knee");
-    cli.addBool("cost-aware", false,
-                "serving benches: also run the fleet sweep with EDF + "
-                "predictive shedding + cost-aware DRR admission");
-    cli.addBool("autopilot-ramp", false,
-                "serving benches: run the theta-autopilot load ramp "
-                "(fixed theta vs closed-loop controller)");
-    cli.addBool("session-turns", false,
-                "serving benches: run the multi-turn session study "
-                "(warm vs cold arms of one turn schedule)");
-    cli.addString("out", "",
-                  "JSON artifact path (empty = bench default; "
-                  "bench_multi_model_load writes nothing without it)");
     cli.addString("trace-out", "",
-                  "serving benches: run one extra telemetry-enabled "
+                  "bench_serving_load: run one extra telemetry-enabled "
                   "load point and write its Chrome trace-event JSON "
                   "here (load in Perfetto), printing the metrics "
                   "exposition alongside");
@@ -58,11 +43,6 @@ parseBenchArgs(int argc, const char *const *argv,
     options.thetaPoints =
         static_cast<std::size_t>(cli.getInt("theta-points"));
     options.quick = cli.getBool("quick");
-    options.admissionSweep = cli.getBool("admission-sweep");
-    options.costAware = cli.getBool("cost-aware");
-    options.autopilotRamp = cli.getBool("autopilot-ramp");
-    options.sessionTurns = cli.getBool("session-turns");
-    options.out = cli.getString("out");
     options.traceOut = cli.getString("trace-out");
     options.cells = cli.getStringList("cell");
 

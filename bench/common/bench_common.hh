@@ -40,32 +40,10 @@ struct BenchOptions
     std::size_t sequences = 0;         ///< 0 = spec default
     std::size_t thetaPoints = 8;       ///< sweep resolution
     bool quick = false;                ///< downsized smoke run
-    /// Serving benches only: additionally sweep the PR 5 admission
-    /// policies (FIFO vs EDF + predictive shedding) past the queueing
-    /// knee (bench_serving_load; full mode writes BENCH_PR5.json).
-    bool admissionSweep = false;
-    /// Serving benches only: additionally run the fleet sweep with
-    /// EDF + predictive shedding + cost-aware DRR admission
-    /// (bench_multi_model_load).
-    bool costAware = false;
-    /// Serving benches only: run the theta-autopilot load ramp —
-    /// fixed-theta baseline vs closed-loop controller on seed-paired
-    /// arrivals (bench_serving_load; full mode writes BENCH_PR6.json).
-    bool autopilotRamp = false;
-    /// Serving benches only: run the multi-turn session study — warm
-    /// (session-tagged) vs cold arms of the same turn schedule on a
-    /// two-model fleet, reporting reuse uplift and delivered-loss
-    /// delta (bench_serving_load; full mode writes BENCH_PR8.json).
-    bool sessionTurns = false;
-    /// JSON artifact path. Empty = don't write one (benches that
-    /// default to writing, like bench_serving_load's full mode, say so
-    /// in their --help; bench_multi_model_load only writes when given
-    /// --out).
-    std::string out;
-    /// Serving benches only: non-empty runs one extra load point with
-    /// telemetry (metrics + tracer) enabled and writes its Chrome
+    /// bench_serving_load only: non-empty runs one extra load point
+    /// with telemetry (metrics + tracer) enabled and writes its Chrome
     /// trace-event JSON here, printing the Prometheus-style exposition
-    /// alongside (bench_serving_load --trace-out).
+    /// alongside (--trace-out).
     std::string traceOut;
 };
 

@@ -14,7 +14,6 @@
  * raternn -> RateRNN, brc -> BRC) and every family is swept on the SAME
  * theta grid (shared thetaMax = the max over the selected specs) so the
  * per-cell reuse-vs-loss curves are directly comparable point by point.
- * Full (non --quick) cell-mode runs write BENCH_PR10.json (or --out).
  */
 
 #include <algorithm>
@@ -47,69 +46,6 @@ networkForCell(const std::string &cli_name)
         return "BRC";
     }
     nlfm_panic("unmapped cell family: ", cli_name);
-}
-
-/** One family's swept curve (cell mode). */
-struct CellCurve
-{
-    std::string cell;    ///< descriptor cliName
-    std::string network; ///< zoo spec the family ran on
-    std::string metric;  ///< loss metric of that workload
-    std::vector<memo::TunePoint> oracle;
-    std::vector<memo::TunePoint> bnn;
-};
-
-void
-writeCellJson(const bench::BenchOptions &options,
-              std::span<const double> thetas,
-              std::span<const CellCurve> curves)
-{
-    const std::string out_path =
-        options.out.empty() ? "BENCH_PR10.json" : options.out;
-    std::FILE *json = std::fopen(out_path.c_str(), "w");
-    if (!json)
-        return;
-    std::fprintf(json, "{\n  \"pr\": 10,\n");
-    std::fprintf(json,
-                 "  \"title\": \"Pluggable recurrent-cell layer: "
-                 "per-cell reuse vs accuracy curves\",\n");
-    std::fprintf(json,
-                 "  \"bench\": \"bench_fig16_reuse_vs_accuracy --cell "
-                 "... (full mode, matched theta grid)\",\n");
-    std::fprintf(json, "  \"theta_grid\": [");
-    for (std::size_t i = 0; i < thetas.size(); ++i)
-        std::fprintf(json, "%s%.4f", i ? ", " : "", thetas[i]);
-    std::fprintf(json, "],\n  \"per_cell\": [\n");
-    for (std::size_t c = 0; c < curves.size(); ++c) {
-        const CellCurve &curve = curves[c];
-        std::fprintf(json,
-                     "    { \"cell\": \"%s\", \"network\": \"%s\", "
-                     "\"loss_metric\": \"%s drift\",\n"
-                     "      \"points\": [\n",
-                     curve.cell.c_str(), curve.network.c_str(),
-                     curve.metric.c_str());
-        for (std::size_t i = 0; i < thetas.size(); ++i) {
-            std::fprintf(
-                json,
-                "        { \"theta\": %.4f, \"oracle_reuse\": %.4f, "
-                "\"oracle_loss_pct\": %.3f, \"bnn_reuse\": %.4f, "
-                "\"bnn_loss_pct\": %.3f }%s\n",
-                thetas[i], curve.oracle[i].reuse,
-                curve.oracle[i].accuracyLoss, curve.bnn[i].reuse,
-                curve.bnn[i].accuracyLoss,
-                i + 1 < thetas.size() ? "," : "");
-        }
-        std::fprintf(json, "      ] }%s\n",
-                     c + 1 < curves.size() ? "," : "");
-    }
-    std::fprintf(
-        json,
-        "  ],\n  \"acceptance\": { \"requirement\": \"curves for all "
-        "four cell families at matched theta sweeps; every family "
-        "runs through the unmodified MemoEngine/BatchMemoEngine "
-        "(zero cell-type branches in src/memo and src/serve)\" }\n}\n");
-    std::fclose(json);
-    std::printf("wrote %s\n", out_path.c_str());
 }
 
 } // namespace
@@ -148,7 +84,6 @@ main(int argc, char **argv)
     }
 
     bench::WorkloadSet set(options);
-    std::vector<CellCurve> curves;
     for (std::size_t w = 0; w < set.names().size(); ++w) {
         const std::string &name = set.names()[w];
         auto &evaluator = set.evaluator(name);
@@ -181,15 +116,7 @@ main(int argc, char **argv)
                           formatDouble(bnn[i].accuracyLoss, 2)});
         }
         table.print("fig16_" + (cell_mode ? options.cells[w] : name));
-
-        if (cell_mode) {
-            curves.push_back({options.cells[w], name,
-                              spec.paperAccuracyMetric, oracle, bnn});
-        }
     }
-
-    if (cell_mode && !options.quick)
-        writeCellJson(options, shared_thetas, curves);
 
     if (!cell_mode) {
         std::printf(

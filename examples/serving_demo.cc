@@ -88,7 +88,7 @@ main()
     deadline_options.queuePolicy = serve::QueuePolicy::Edf;
     deadline_options.shedExpired = true;
     deadline_options.shedPredicted = true;
-    // Real deployments calibrate this (see bench_serving_load); the
+    // Real deployments calibrate this (see bench_admission_sweep); the
     // demo overstates it so the hopeless request below sheds
     // deterministically.
     deadline_options.calibratedStepCostMs = 5.0;

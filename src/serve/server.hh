@@ -65,7 +65,7 @@ struct ServerOptions
     memo::MemoOptions memo{};
 
     /// false serves exact (DirectBatchEvaluator) instead of memoized —
-    /// the baseline the serving_load bench compares against.
+    /// the exact baseline a memoized server is compared against.
     bool memoized = true;
 
     /// Stepping threads per tick, including the driver thread; 1 steps
@@ -98,7 +98,7 @@ struct ServerOptions
 
     /// Calibrated per-step service cost in milliseconds (per sequence
     /// step of one request, measured under saturation) — the scale of
-    /// the predictive-shedding estimate. bench_serving_load derives it
+    /// the predictive-shedding estimate. bench_admission_sweep derives it
     /// from its closed-batch calibration (cal seconds * 1000 / slots /
     /// steps); 0 = uncalibrated.
     double calibratedStepCostMs = 0.0;

@@ -7,7 +7,7 @@
  *    On a crafted deadline mix behind a plugged slot, an EDF server
  *    admits the urgent request first where FIFO admits in enqueue
  *    order — the deterministic form of "EDF beats FIFO" (the goodput
- *    comparison under load lives in bench_serving_load).
+ *    comparison under load lives in bench_admission_sweep).
  *  - Predictive shedding drops exactly the requests whose deadline the
  *    calibrated estimate proves unreachable — before they are admitted
  *    (and before they queue, when the enqueue-time estimate already

@@ -20,8 +20,8 @@
 ///  - ShedTruncatedWindow: deadline-met COUNTS and goodput() RATES
 ///    diverge when a window ends in sheds, because the wall-clock
 ///    denominator runs to the window's last event. Paired A/B load
-///    comparisons must compare counts (bench_serving_load
-///    --autopilot-ramp does).
+///    comparisons must compare counts (bench_autopilot_ramp
+///    does).
 
 #include <gtest/gtest.h>
 
@@ -484,7 +484,7 @@ TEST(ServingStatsCounters, ShedTruncatedWindow)
     // interval like a completion does, so B's wall-clock denominator
     // is longer and its goodput() RATE is lower than A's even though
     // no additional request was served or missed. Paired A/B load
-    // comparisons (bench_serving_load --autopilot-ramp) must therefore
+    // comparisons (bench_autopilot_ramp) must therefore
     // compare deadline-met COUNTS; rates divide by each arm's own
     // wall.
     serve::ServingStats a;
