@@ -82,12 +82,6 @@ Histogram::binHi(std::size_t index) const
 }
 
 double
-Histogram::binCenter(std::size_t index) const
-{
-    return binLo(index) + 0.5 * binWidth_;
-}
-
-double
 Histogram::cdf(std::size_t index) const
 {
     nlfm_assert(index < counts_.size(), "bin index out of range");

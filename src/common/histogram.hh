@@ -68,9 +68,6 @@ class Histogram
     /** Exclusive upper edge of bin @p index. */
     double binHi(std::size_t index) const;
 
-    /** Midpoint of bin @p index. */
-    double binCenter(std::size_t index) const;
-
     /**
      * Empirical CDF evaluated at bin upper edges: fraction of samples whose
      * bin index is <= @p index.

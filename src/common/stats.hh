@@ -68,9 +68,6 @@ class PearsonAccumulator
      */
     double correlation() const;
 
-    double meanX() const { return meanX_; }
-    double meanY() const { return meanY_; }
-
   private:
     std::size_t count_ = 0;
     double meanX_ = 0.0;

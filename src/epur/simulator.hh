@@ -39,8 +39,6 @@ class Simulator
     Simulator(const EpurConfig &config, const EnergyParams &params);
 
     const EpurConfig &config() const { return timing_.config(); }
-    const EnergyParams &energyParams() const { return params_; }
-    const TimingModel &timingModel() const { return timing_; }
 
     /** Unmodified E-PUR over sequences of the given lengths. */
     SimResult simulateBaseline(

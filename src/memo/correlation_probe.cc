@@ -38,18 +38,11 @@ CorrelationProbe::evaluateGateBatch(const nn::GateInstance &instance,
 {
     std::lock_guard<std::mutex> lock(callMutex_);
     const std::size_t slots = rows.size();
-    const tensor::BitMatrix &signs =
-        bnn_->gate(instance.instanceId).weights();
+    const nn::BinarizedGate &bgate = bnn_->gate(instance.instanceId);
 
     // Each live slot's binarized input, once per gate call.
-    inputs_.resize(slots);
-    inputWords_.resize(slots);
-    for (std::size_t i = 0; i < slots; ++i) {
-        if (inputs_[i].size() != signs.cols())
-            inputs_[i] = tensor::BitVector(signs.cols());
-        inputs_[i].assignConcat(x.row(rows[i]), h.row(rows[i]));
-        inputWords_[i] = inputs_[i].raw().data();
-    }
+    const std::span<const std::uint64_t *const> input_words =
+        inputs_.assign(bgate, x, h, rows);
 
     // Per-range measurements, merged in range order after the join.
     struct Local
@@ -74,7 +67,8 @@ CorrelationProbe::evaluateGateBatch(const nn::GateInstance &instance,
         for (std::size_t n0 = begin; n0 < end; n0 += nn::kNeuronBlock) {
             const std::size_t block = std::min(nn::kNeuronBlock, end - n0);
             local.yb.resize(block * slots);
-            tensor::bnnDotPanel(signs, n0, block, inputWords_, local.yb);
+            tensor::bnnDotPanel(bgate.weights(), n0, block, input_words,
+                                local.yb);
             for (std::size_t r = 0; r < block; ++r) {
                 const std::size_t flat = instance.neuronBase + n0 + r;
                 for (std::size_t i = 0; i < slots; ++i) {

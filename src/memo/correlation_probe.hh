@@ -105,9 +105,7 @@ class CorrelationProbe : public nn::BatchGateEvaluator
     std::vector<std::pair<float, int>> scatter_;
 
     std::mutex callMutex_;
-    // Binarized [x; h] of each live slot of the current call.
-    std::vector<tensor::BitVector> inputs_;
-    std::vector<const std::uint64_t *> inputWords_;
+    nn::BinarizedInputs inputs_; ///< of the current call's live slots
 };
 
 } // namespace nlfm::memo

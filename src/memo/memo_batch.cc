@@ -42,8 +42,7 @@ nowNs()
  */
 struct CallScratch
 {
-    std::vector<tensor::BitVector> inputs;
-    std::vector<const std::uint64_t *> inputWords;
+    nn::BinarizedInputs inputs;
     std::vector<const float *> xRows;
     std::vector<const float *> hRows;
     std::vector<float *> outRows;
@@ -72,7 +71,7 @@ struct CallScratch
 
 /**
  * Scratch of one neuron range, written only by the thread that runs the
- * range (the Oracle uses its dots and hits). Line-aligned so
+ * range (the Oracle uses its hits only). Line-aligned so
  * neighbouring ranges' counters never share a cache line.
  */
 struct alignas(kCacheLineBytes) RangeScratch
@@ -83,7 +82,6 @@ struct alignas(kCacheLineBytes) RangeScratch
     // and k * ceil(slots / 8).
     std::vector<std::uint32_t> miss;
     std::vector<std::uint8_t> missBlocks;
-    std::size_t missCount[tensor::kGroupNeurons] = {};
     // The evaluated panel's input rows and dots (neuron-major after a
     // grouped call), and each slot's column in a grouped call's union
     // panel.
@@ -147,7 +145,14 @@ rangeScratch(std::size_t ranges, std::size_t slots)
     return scratch;
 }
 
-#if defined(__x86_64__)
+/** One neuron's table row: its entries for every slot of the engine. */
+struct TableRow
+{
+    std::int32_t *bnn;
+    std::uint8_t *valid;
+    std::int64_t *draw;
+    float *y;
+};
 
 /** Bit j: slot 8b + j is missing for some neuron of the group. */
 unsigned
@@ -166,17 +171,20 @@ unionBlock(const RangeScratch &s, std::size_t blocks, std::size_t b)
  * matrix over the union of their missing slots pays when it issues
  * fewer FMA instructions than a per-neuron call per neuron. Per
  * 8-column block, that is two 512-bit FMAs per union slot against one
- * 256-bit FMA per missing (neuron, slot), @p misses in all.
+ * 256-bit FMA per missing (neuron, slot): neuron k's @p miss_count[k],
+ * @p misses in all.
  *
  * @return the union's size when the grouped call pays, else 0
  */
 std::size_t
-groupUnion(const RangeScratch &s, std::size_t slots, std::size_t misses)
+groupUnion(const RangeScratch &s, std::size_t slots,
+           std::span<const std::size_t, tensor::kGroupNeurons> miss_count,
+           std::size_t misses)
 {
     // The union holds at least the widest neuron's misses, so most
     // groups that cannot pay are known without counting it.
     const std::size_t widest =
-        *std::max_element(std::begin(s.missCount), std::end(s.missCount));
+        *std::max_element(miss_count.begin(), miss_count.end());
     if (2 * widest >= misses)
         return 0;
     const std::size_t blocks = (slots + 7) / 8;
@@ -210,6 +218,8 @@ buildUnionPanel(RangeScratch &s, std::size_t slots,
             ++panel;
         }
 }
+
+#if defined(__x86_64__)
 
 /**
  * AVX-512 form of the Phase-1 decision loop for the default engine
@@ -326,101 +336,57 @@ decideRowAvx512(const std::int32_t *yb_row, std::size_t slots,
     return miss_count;
 }
 
-/**
- * Masked-store form of the miss commit (Eqs. 15-17) for the dense
- * full-panel path: forward/recurrent hold every slot's dots, and the
- * missing slots' table entries are contiguous, so one 8-slot step
- * refreshes y_m, yb_m, delta_b and the valid byte with four masked
- * stores. Only the per-sequence preact write stays scalar (each slot's
- * output row is a different buffer). The committed y_t is the same
- * float add the scalar loop performs.
- */
-__attribute__((target(
-    "avx512f,avx512dq,avx512bw,avx512vl,popcnt"))) void
-commitRowAvx512(const std::uint8_t *miss_blocks, std::size_t slots,
-                std::size_t e0, const float *forward,
-                const float *recurrent, const std::int32_t *yb_row,
-                float *y_row, std::int32_t *bnn_row,
-                std::int64_t *draw_row, std::uint8_t *valid_row,
-                float *const *out_rows, std::size_t n)
-{
-    const __m512i zero64 = _mm512_setzero_si512();
-    const __m128i one8 = _mm_set1_epi8(1);
-    std::size_t i = 0;
-    for (; i + 8 <= slots; i += 8) {
-        const __mmask8 m = miss_blocks[i / 8];
-        if (m == 0)
-            continue;
-        const __m256 y_t = _mm256_add_ps(_mm256_loadu_ps(forward + i),
-                                         _mm256_loadu_ps(recurrent + i));
-        _mm256_mask_storeu_ps(y_row + e0 + i, m, y_t);
-        _mm256_mask_storeu_epi32(
-            bnn_row + e0 + i, m,
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(yb_row + i)));
-        _mm512_mask_storeu_epi64(draw_row + e0 + i, m, zero64);
-        _mm_mask_storeu_epi8(valid_row + e0 + i, m, one8);
-
-        alignas(32) float y_s[8];
-        _mm256_store_ps(y_s, y_t);
-        unsigned rm = m;
-        while (rm != 0) {
-            const int j = __builtin_ctz(rm);
-            rm &= rm - 1;
-            out_rows[i + j][n] = y_s[j];
-        }
-    }
-    for (; i < slots; ++i) {
-        if (((miss_blocks[i / 8] >> (i % 8)) & 1) == 0)
-            continue;
-        const std::size_t e = e0 + i;
-        const float y_t = forward[i] + recurrent[i];
-        out_rows[i][n] = y_t;
-        y_row[e] = y_t;
-        bnn_row[e] = yb_row[i];
-        draw_row[e] = 0;
-        valid_row[e] = 1;
-    }
-}
-
 #endif // __x86_64__
 
-/** One neuron's table row: its entries for every slot of the engine. */
-struct TableRow
+/**
+ * Scalar form of the Phase-1 decision loop, for every configuration:
+ * bnnReuseDecision per live slot at the slot's own theta (serving slots
+ * carry their own; in a closed batch every slot sits at the engine
+ * default). Reusing slots emit the cached output (Eq. 14 top) and are
+ * counted into @p hits, indexed by live slot position; misses go to
+ * @p miss in ascending slot order. Forced inline for the same reason as
+ * the commit helpers below.
+ *
+ * @return the miss count
+ */
+__attribute__((always_inline)) inline std::size_t
+decideRow(const std::int32_t *yb_row,
+          std::span<const std::uint32_t> slot_entry, const TableRow &row,
+          const std::int64_t *theta_raw, bool throttle, std::uint64_t *hits,
+          float *const *out_rows, std::size_t n, std::uint32_t *miss)
 {
-    std::int32_t *bnn;
-    std::uint8_t *valid;
-    std::int64_t *draw;
-    float *y;
-};
+    std::size_t miss_count = 0;
+    for (std::size_t i = 0; i < slot_entry.size(); ++i) {
+        const std::uint32_t e = slot_entry[i];
+        const BnnDecision decision = bnnReuseDecision(
+            yb_row[i], row.bnn[e], row.valid[e] != 0, row.draw[e], throttle,
+            Q16::fromRaw(theta_raw[e]));
+        if (decision.reuse) {
+            out_rows[i][n] = row.y[e];
+            row.draw[e] = decision.deltaRaw;
+            ++hits[i];
+        } else {
+            miss[miss_count++] = static_cast<std::uint32_t>(i);
+        }
+    }
+    return miss_count;
+}
 
-// The two commit helpers below are forced inline: once both commit
-// flows call them, gcc 12 keeps them out of line, and the calls made an
-// 8-slot IMDB serving step about 2 % slower.
+// The two commit helpers below are forced inline: with more than one
+// call site, gcc 12 keeps them out of line, and the calls made an 8-slot
+// IMDB serving step about 2 % slower.
 
 /**
  * Commit neuron n's missing slots (Eqs. 15-17): emit y_t = forward +
  * recurrent and refresh the whole entry. Miss m's dots sit at
- * column[miss[m]], or at m where @p column is null. When every slot
- * missed and the vector decide left @p miss_blocks, the dots are indexed
- * by slot either way and the masked-store commit runs.
+ * column[miss[m]], or at m where @p column is null.
  */
 __attribute__((always_inline)) inline void
 commitMisses(const CallScratch &call, std::size_t n, const TableRow &row,
              const std::int32_t *yb_row, const std::uint32_t *miss,
-             std::size_t miss_count, const std::uint8_t *miss_blocks,
-             const float *forward, const float *recurrent,
-             const std::uint32_t *column)
+             std::size_t miss_count, const float *forward,
+             const float *recurrent, const std::uint32_t *column)
 {
-    const std::size_t slots = call.slotEntry.size();
-#if defined(__x86_64__)
-    if (miss_blocks != nullptr && miss_count == slots) {
-        commitRowAvx512(miss_blocks, slots, call.slotEntry[0], forward,
-                        recurrent, yb_row, row.y, row.bnn, row.draw,
-                        row.valid, call.outRows.data(), n);
-        return;
-    }
-#endif
     for (std::size_t m = 0; m < miss_count; ++m) {
         const std::size_t i = miss[m];
         const std::size_t d = column != nullptr ? column[i] : m;
@@ -448,7 +414,7 @@ __attribute__((always_inline)) inline void
 commitNeuron(const CallScratch &call, const nn::GateParams &params,
              std::size_t n, const TableRow &row, const std::int32_t *yb_row,
              const std::uint32_t *miss, std::size_t miss_count,
-             const std::uint8_t *miss_blocks, RangeScratch &s)
+             RangeScratch &s)
 {
     const std::span<float> forward(s.forward.data(), miss_count);
     const std::span<float> recurrent(s.recurrent.data(), miss_count);
@@ -465,8 +431,8 @@ commitNeuron(const CallScratch &call, const nn::GateParams &params,
         tensor::dotLanesRows(params.wh.row(n), {s.panelH.data(), miss_count},
                              recurrent);
     }
-    commitMisses(call, n, row, yb_row, miss, miss_count, miss_blocks,
-                 forward.data(), recurrent.data(), nullptr);
+    commitMisses(call, n, row, yb_row, miss, miss_count, forward.data(),
+                 recurrent.data(), nullptr);
 }
 
 } // namespace
@@ -495,7 +461,6 @@ BatchMemoEngine::setTheta(double theta)
                   thetaQ_.raw());
         std::fill(slotThetaFp_.begin(), slotThetaFp_.end(),
                   options_.theta);
-        nonDefaultThetaSlots_ = 0;
     }
 }
 
@@ -615,14 +580,8 @@ BatchMemoEngine::setSlotTheta(std::size_t slot, double theta)
 {
     nlfm_assert(slot < batch_, "setSlotTheta: slot out of range");
     nlfm_assert(theta >= 0.0, "negative threshold");
-    const bool was_default = slotThetaFp_[slot] == options_.theta;
     slotThetaRaw_[slot] = Q16::fromDouble(theta).raw();
     slotThetaFp_[slot] = theta;
-    const bool is_default = theta == options_.theta;
-    if (was_default && !is_default)
-        ++nonDefaultThetaSlots_;
-    else if (!was_default && is_default)
-        --nonDefaultThetaSlots_;
 }
 
 double
@@ -657,7 +616,6 @@ BatchMemoEngine::beginBatch(std::size_t total_sequences)
     valid_.assign(entries, 0);
     slotThetaRaw_.assign(slotStride_, thetaQ_.raw());
     slotThetaFp_.assign(slotStride_, options_.theta);
-    nonDefaultThetaSlots_ = 0;
     const std::size_t gates = network_.gateInstances().size();
     slotReused_.assign(gates * slotStride_, 0);
     slotTotal_.assign(gates * slotStride_, 0);
@@ -724,9 +682,6 @@ BatchMemoEngine::evaluateOracleBatch(const nn::GateInstance &instance,
                                      std::span<std::uint64_t> hits)
 {
     const std::size_t slots = rows.size();
-    // The Oracle always computes y_t (Eq. 9), so the whole panel goes
-    // through the blocked kernel: each weight row is streamed once
-    // across every live slot.
     CallScratch &call = callScratch();
     call.gather(x, h, preact, rows, slot_base);
     const std::span<RangeScratch> range_scratch =
@@ -735,29 +690,27 @@ BatchMemoEngine::evaluateOracleBatch(const nn::GateInstance &instance,
     forEachNeuronRange(instance, slots, [&](std::size_t range,
                                             std::size_t begin,
                                             std::size_t end) {
+        // The Oracle always computes y_t (Eq. 9): the exact panel, as
+        // DirectBatchEvaluator fills it, then each decision in place.
+        params.wx.matvecPanel(x, rows, preact, false, begin, end);
+        params.wh.matvecPanel(h, rows, preact, true, begin, end);
         RangeScratch &s = range_scratch[range];
-        const std::span<float> forward(s.forward.data(), slots);
-        const std::span<float> recurrent(s.recurrent.data(), slots);
         for (std::size_t n = begin; n < end; ++n) {
-            tensor::dotLanesRows(params.wx.row(n), call.xRows, forward);
-            tensor::dotLanesRows(params.wh.row(n), call.hRows, recurrent);
             const std::size_t entry_base =
                 (instance.neuronBase + n) * slotStride_;
             for (std::size_t i = 0; i < slots; ++i) {
                 const std::size_t slot = call.slotEntry[i];
                 const std::size_t entry = entry_base + slot;
-                const float y_t = forward[i] + recurrent[i];
-                const bool reuse = oracleReuseDecision(
-                    y_t, cachedOutput_[entry], valid_[entry] != 0,
-                    slotThetaFp_[slot]);
-                if (reuse) {
+                float &out = call.outRows[i][n];
+                if (oracleReuseDecision(out, cachedOutput_[entry],
+                                        valid_[entry] != 0,
+                                        slotThetaFp_[slot])) {
                     // Use the stale value (Eq. 10); the entry is kept
                     // (Eq. 11).
-                    call.outRows[i][n] = cachedOutput_[entry];
+                    out = cachedOutput_[entry];
                     ++s.hits[i];
                 } else {
-                    call.outRows[i][n] = y_t;
-                    cachedOutput_[entry] = y_t;
+                    cachedOutput_[entry] = out;
                     valid_[entry] = 1;
                 }
             }
@@ -780,7 +733,7 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
                                   tensor::Matrix &preact,
                                   std::span<std::uint64_t> hits)
 {
-    nn::BinarizedGate &bgate = bnn_->gate(instance.instanceId);
+    const nn::BinarizedGate &bgate = bnn_->gate(instance.instanceId);
     const bool throttle = options_.throttle;
     const std::size_t slots = rows.size();
 
@@ -794,29 +747,15 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
     const std::uint64_t t_call = timed ? nowNs() : 0;
 
     // State shared by the gate call's neuron ranges, built here once and
-    // only read by them.
+    // only read by them: one input binarization per live slot per
+    // timestep (the FMU input vector of each sequence), which is probe
+    // work.
     CallScratch &call = callScratch();
-
-    // One input binarization per live slot per timestep (the FMU input
-    // vector of each sequence); re-sized only when the gate width
-    // changes.
-    const std::size_t width = instance.xSize + instance.hSize;
-    if (call.inputs.size() < slots)
-        call.inputs.resize(slots);
-    call.inputWords.resize(slots);
-    for (std::size_t i = 0; i < slots; ++i) {
-        if (call.inputs[i].size() != width)
-            call.inputs[i] = tensor::BitVector(width);
-        call.inputs[i].assignConcat(x.row(rows[i]), h.row(rows[i]));
-        call.inputWords[i] = call.inputs[i].raw().data();
-    }
-    // Input binarization is probe work.
+    const std::span<const std::uint64_t *const> input_words =
+        call.inputs.assign(bgate, x, h, rows);
     std::uint64_t probe_ns = timed ? nowNs() - t_call : 0;
 
     call.gather(x, h, preact, rows, slot_base);
-
-    const std::span<const std::uint64_t *const> input_words =
-        call.inputWords;
     const std::span<const float *const> x_rows = call.xRows;
     const std::span<const float *const> h_rows = call.hRows;
     float *const *const out_rows = call.outRows.data();
@@ -840,24 +779,22 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
 #if defined(__x86_64__)
     static const bool has_decide_isa =
         __builtin_cpu_supports("avx512f") > 0 &&
-        __builtin_cpu_supports("avx512dq") > 0 &&
-        __builtin_cpu_supports("avx512bw") > 0 &&
-        __builtin_cpu_supports("avx512vl") > 0; // commit's masked stores
+        __builtin_cpu_supports("avx512dq") > 0;
     const bool dense =
         slots > 0 && slot_entry[slots - 1] - slot_entry[0] + 1 == slots;
     const std::int64_t panel_theta_raw =
         slots > 0 ? slotThetaRaw_[slot_entry[0]] : thetaQ_.raw();
-    bool uniform_theta = true;
-    if (nonDefaultThetaSlots_ != 0)
-        for (std::size_t i = 1; i < slots && uniform_theta; ++i)
-            uniform_theta =
-                slotThetaRaw_[slot_entry[i]] == panel_theta_raw;
+    const bool uniform_theta = std::all_of(
+        slot_entry.begin(), slot_entry.end(), [&](std::uint32_t e) {
+            return slotThetaRaw_[e] == panel_theta_raw;
+        });
     const bool vector_decide =
         has_decide_isa && throttle && dense && uniform_theta &&
         tensor::bnnActiveIsa() == tensor::BnnIsa::Avx512 &&
         panel_theta_raw <
             std::numeric_limits<std::int64_t>::max() /
-                (static_cast<std::int64_t>(2 * width + 2) << 16);
+                (static_cast<std::int64_t>(2 * bgate.inputBits() + 2)
+                 << 16);
 #else
     constexpr bool vector_decide = false;
 #endif
@@ -874,33 +811,17 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
                         cachedOutput_.data() + base};
     };
 
-    // Probe panel: all live slots of a block of neurons per kernel
-    // invocation, streaming the contiguous sign matrix block by block.
-    const auto probe = [&](RangeScratch &s, std::size_t n0,
-                           std::size_t block) {
-        const std::uint64_t t_mark = timed ? nowNs() : 0;
-        tensor::bnnDotPanel(bgate.weights(), n0, block, input_words,
-                            s.ybPanel);
-        if (timed)
-            s.probeNs += nowNs() - t_mark;
-    };
-
-#if defined(__x86_64__)
-    // Decide four neurons before committing them, for the grouped commit
-    // (groupUnion), on vector-decide panels of more than one 8-slot row
-    // block where dotLanesGroup is the wide kernel. On a panel of at
-    // most 8 live slots -- every serving panel of an 8-slot server --
-    // one weight stream per matrix covers a neuron's misses, its few
-    // independent FMA chains leave the FMA ports idle and overlap with
-    // the next neuron's, so halving the FMA count saves little, and
-    // deciding four first costs more. In an in-process A/B against the
-    // parent's per-neuron flow (Sapphire Rapids VM), the grouped flow
-    // ran an IMDB step with 1-8 live slots up to 6 % slower at theta
-    // 0.51-1.0 and BRC's up to 8 % slower at 0.8, although 37-87 % of
-    // their groups passed the FMA rule; with 16 slots IMDB and BRC moved
-    // by -5 to +2 %, and DeepSpeech2 took 0.71-0.74x the time.
-    if (vector_decide && slots > 8 && tensor::dotLanesGroupIsWide()) {
-        const std::size_t slot_blocks = (slots + 7) / 8;
+    // The one gate loop, for a group width fixed at compile time: per
+    // probe block, probe every live slot of the block's neurons in one
+    // panel (streaming the contiguous sign matrix block by block), then
+    // per group of neurons decide each (Phase 1: hits resolve at once,
+    // misses are queued with their yb_t still in the probe panel) and
+    // commit the group's misses (Phase 2, Eqs. 15-17: full evaluation
+    // and a refresh of the whole entry). Each neuron's decision reads
+    // and writes only its own table entries and output column, so
+    // deciding a group before committing it changes no bit.
+    const auto run = [&](auto group_width) {
+        constexpr std::size_t kGroup = decltype(group_width)::value;
         forEachNeuronRange(instance, slots, [&](std::size_t range,
                                                 std::size_t begin,
                                                 std::size_t end) {
@@ -910,78 +831,91 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
                  n0 += kProbeNeuronBlock) {
                 const std::size_t block =
                     std::min(kProbeNeuronBlock, end - n0);
-                probe(s, n0, block);
-                // Each neuron's decision reads and writes only its own
-                // table entries and output column, so deciding a group
-                // before committing it changes no bit.
-                for (std::size_t g = 0; g < block;
-                     g += tensor::kGroupNeurons) {
+                if (timed)
+                    t_mark = nowNs();
+                tensor::bnnDotPanel(bgate.weights(), n0, block, input_words,
+                                    s.ybPanel);
+                if (timed)
+                    s.probeNs += nowNs() - t_mark;
+
+                for (std::size_t g = 0; g < block; g += kGroup) {
+                    // A constant for groups of one, so that their loops
+                    // over k fold away (a run-time 1 cost 3-4 % of an
+                    // IMDB serving step).
                     const std::size_t group =
-                        std::min(tensor::kGroupNeurons, block - g);
+                        kGroup == 1 ? 1 : std::min(kGroup, block - g);
                     const std::int32_t *yb_rows =
                         s.ybPanel.data() + g * slots;
                     if (timed)
                         t_mark = nowNs();
+                    std::size_t miss_count[kGroup];
                     std::size_t misses = 0;
                     for (std::size_t k = 0; k < group; ++k) {
                         const std::size_t n = n0 + g + k;
                         const TableRow row = table_row(n);
-                        s.missCount[k] = decideRowAvx512(
-                            yb_rows + k * slots, slots, slot_entry[0],
-                            row.bnn, row.valid, row.draw, row.y,
-                            s.hits.data(), out_rows, n, panel_theta_raw,
-                            Q16::fromRaw(panel_theta_raw),
-                            s.miss.data() + k * slots,
-                            s.missBlocks.data() + k * slot_blocks);
-                        misses += s.missCount[k];
+                        std::uint32_t *miss = s.miss.data() + k * slots;
+#if defined(__x86_64__)
+                        if (vector_decide)
+                            // Every slot sits at panel_theta_raw here.
+                            miss_count[k] = decideRowAvx512(
+                                yb_rows + k * slots, slots, slot_entry[0],
+                                row.bnn, row.valid, row.draw, row.y,
+                                s.hits.data(), out_rows, n, panel_theta_raw,
+                                Q16::fromRaw(panel_theta_raw), miss,
+                                s.missBlocks.data() + k * ((slots + 7) / 8));
+                        else
+#endif
+                            miss_count[k] = decideRow(
+                                yb_rows + k * slots, slot_entry, row,
+                                slotThetaRaw_.data(), throttle,
+                                s.hits.data(), out_rows, n, miss);
+                        misses += miss_count[k];
                     }
                     if (timed) {
                         const std::uint64_t t = nowNs();
                         s.decideNs += t - t_mark;
                         t_mark = t;
                     }
+                    if (misses == 0)
+                        continue;
 
-                    // One dotLanesGroup call per weight matrix where it
-                    // pays, its dots neuron-major and each neuron's
-                    // indexed by s.column; else each neuron on its own.
-                    const std::size_t panel =
-                        group == tensor::kGroupNeurons
-                            ? groupUnion(s, slots, misses)
-                            : 0;
-                    if (panel != 0) {
-                        buildUnionPanel(s, slots, x_rows, h_rows);
-                        const float *wx[tensor::kGroupNeurons];
-                        const float *wh[tensor::kGroupNeurons];
-                        for (std::size_t k = 0; k < tensor::kGroupNeurons;
-                             ++k) {
-                            wx[k] = params.wx.row(n0 + g + k).data();
-                            wh[k] = params.wh.row(n0 + g + k).data();
+                    // A whole group of four makes one dotLanesGroup call
+                    // per weight matrix where it pays, its dots
+                    // neuron-major and each neuron's indexed by
+                    // s.column; else each neuron is evaluated on its own.
+                    std::size_t panel = 0;
+                    if constexpr (kGroup == tensor::kGroupNeurons) {
+                        if (group == kGroup)
+                            panel = groupUnion(s, slots, miss_count, misses);
+                        if (panel != 0) {
+                            buildUnionPanel(s, slots, x_rows, h_rows);
+                            const float *wx[kGroup];
+                            const float *wh[kGroup];
+                            for (std::size_t k = 0; k < kGroup; ++k) {
+                                wx[k] = params.wx.row(n0 + g + k).data();
+                                wh[k] = params.wh.row(n0 + g + k).data();
+                            }
+                            const std::size_t dots = kGroup * panel;
+                            tensor::dotLanesGroup(
+                                wx, instance.xSize, {s.panelX.data(), panel},
+                                {s.forward.data(), dots});
+                            tensor::dotLanesGroup(
+                                wh, instance.hSize, {s.panelH.data(), panel},
+                                {s.recurrent.data(), dots});
                         }
-                        const std::size_t dots =
-                            tensor::kGroupNeurons * panel;
-                        tensor::dotLanesGroup(wx, instance.xSize,
-                                              {s.panelX.data(), panel},
-                                              {s.forward.data(), dots});
-                        tensor::dotLanesGroup(wh, instance.hSize,
-                                              {s.panelH.data(), panel},
-                                              {s.recurrent.data(), dots});
                     }
                     for (std::size_t k = 0; k < group; ++k) {
-                        const std::size_t miss_count = s.missCount[k];
-                        if (miss_count == 0)
+                        if (miss_count[k] == 0)
                             continue;
                         const std::size_t n = n0 + g + k;
                         const std::int32_t *yb_row = yb_rows + k * slots;
                         const std::uint32_t *miss = s.miss.data() + k * slots;
-                        const std::uint8_t *miss_blocks =
-                            s.missBlocks.data() + k * slot_blocks;
                         if (panel == 0)
                             commitNeuron(call, params, n, table_row(n),
-                                         yb_row, miss, miss_count,
-                                         miss_blocks, s);
+                                         yb_row, miss, miss_count[k], s);
                         else
                             commitMisses(call, n, table_row(n), yb_row,
-                                         miss, miss_count, miss_blocks,
+                                         miss, miss_count[k],
                                          s.forward.data() + k * panel,
                                          s.recurrent.data() + k * panel,
                                          s.column.data());
@@ -991,81 +925,25 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
                 }
             }
         });
-    } else
-#endif
-    forEachNeuronRange(instance, slots, [&](std::size_t range,
-                                            std::size_t begin,
-                                            std::size_t end) {
-        RangeScratch &s = range_scratch[range];
-        std::uint64_t t_mark = 0;
-        for (std::size_t n0 = begin; n0 < end; n0 += kProbeNeuronBlock) {
-            const std::size_t block = std::min(kProbeNeuronBlock, end - n0);
-            probe(s, n0, block);
+    };
 
-            // One neuron at a time.
-            for (std::size_t r = 0; r < block; ++r) {
-                const std::size_t n = n0 + r;
-                const std::int32_t *yb_row = s.ybPanel.data() + r * slots;
-                const TableRow row = table_row(n);
-                const std::uint8_t *miss_blocks = nullptr;
-
-                // Phase 1: the cheap BNN probe decides per slot; hits
-                // are resolved immediately, misses are queued (the
-                // queued yb_t stays readable in yb_row).
-                std::size_t miss_count = 0;
-                if (timed)
-                    t_mark = nowNs();
-#if defined(__x86_64__)
-                if (vector_decide) {
-                    // vector_decide implies every slot sits at the same
-                    // theta, so the panel-wide value is exact here.
-                    miss_count = decideRowAvx512(
-                        yb_row, slots, slot_entry[0], row.bnn, row.valid,
-                        row.draw, row.y, s.hits.data(), out_rows, n,
-                        panel_theta_raw, Q16::fromRaw(panel_theta_raw),
-                        s.miss.data(), s.missBlocks.data());
-                    miss_blocks = s.missBlocks.data();
-                } else
-#endif
-                for (std::size_t i = 0; i < slots; ++i) {
-                    const std::uint32_t e = slot_entry[i];
-                    const std::int32_t yb_t = yb_row[i];
-
-                    // Per-slot threshold: slots carry their own theta
-                    // in serving mode (identical to the engine default
-                    // in closed-batch mode).
-                    const BnnDecision decision = bnnReuseDecision(
-                        yb_t, row.bnn[e], row.valid[e] != 0, row.draw[e],
-                        throttle, Q16::fromRaw(slotThetaRaw_[e]));
-
-                    if (decision.reuse) {
-                        // Eq. 14 top: bypass the DPU, emit the cached
-                        // output.
-                        out_rows[i][n] = row.y[e];
-                        row.draw[e] = decision.deltaRaw;
-                        ++s.hits[i];
-                    } else {
-                        s.miss[miss_count++] =
-                            static_cast<std::uint32_t>(i);
-                    }
-                }
-
-                // Phase 2 (Eqs. 15-17): full evaluation of the missing
-                // slots; refresh the whole entry.
-                if (timed) {
-                    const std::uint64_t t = nowNs();
-                    s.decideNs += t - t_mark;
-                    t_mark = t;
-                }
-                if (miss_count == 0)
-                    continue;
-                commitNeuron(call, params, n, row, yb_row, s.miss.data(),
-                             miss_count, miss_blocks, s);
-                if (timed)
-                    s.commitNs += nowNs() - t_mark;
-            }
-        }
-    });
+    // Groups of four (the grouped commit, groupUnion) on vector-decide
+    // panels of more than one 8-slot row block where dotLanesGroup is
+    // the wide kernel; groups of one elsewhere. On a panel of at most 8
+    // live slots -- every serving panel of an 8-slot server -- one
+    // weight stream per matrix covers a neuron's misses, its few
+    // independent FMA chains leave the FMA ports idle and overlap with
+    // the next neuron's, so halving the FMA count saves little, and
+    // deciding four first costs more. In an in-process A/B against
+    // groups of one (Sapphire Rapids VM), groups of four ran an IMDB
+    // step with 1-8 live slots up to 6 % slower at theta 0.51-1.0 and
+    // BRC's up to 8 % slower at 0.8, although 37-87 % of their groups
+    // passed the FMA rule; with 16 slots IMDB and BRC moved by -5 to
+    // +2 %, and DeepSpeech2 took 0.71-0.74x the time.
+    if (vector_decide && slots > 8 && tensor::dotLanesGroupIsWide())
+        run(std::integral_constant<std::size_t, tensor::kGroupNeurons>{});
+    else
+        run(std::integral_constant<std::size_t, 1>{});
 
     // Join. Every neuron of the gate counts into one reuse counter per
     // slot, so each range counted its own hits; integer sums are the

@@ -46,8 +46,10 @@ namespace nlfm::memo
 /// Time attribution of the BNN gate-evaluation phases, accumulated by
 /// BatchMemoEngine when a sink is attached (setPhaseSink). Probe covers
 /// input binarization + the bit-packed yb_t panel kernel; decide the
-/// per-neuron reuse decisions (Phase 1); commit the miss FMA panels +
-/// table refresh (Phase 2). The totals are summed thread time, not
+/// reuse decisions (Phase 1); commit the miss FMA panels + table
+/// refresh (Phase 2). Decide and commit are timed per group of neurons
+/// (four on the grouped commit's panels, else one), with no commit span
+/// for a group that has no miss. The totals are summed thread time, not
 /// wall time: a gate call whose neurons are split over a pool
 /// (BatchGateEvaluator::forEachNeuronRange) adds every range's time,
 /// so one call can add more than its wall duration. Atomic because a
@@ -134,10 +136,11 @@ class BatchMemoEngine : public nn::BatchGateEvaluator
     /// (asserted via array shapes).
     void restoreSlot(std::size_t slot, const SlotMemoState &state);
 
-    /// Per-request reuse threshold of one slot (Eq. 14's theta). Slots at
-    /// a non-default theta disable the uniform-theta AVX-512 decision
-    /// fast path for panels containing them; decisions stay bit-identical
-    /// either way (the scalar kernel honors the per-slot value).
+    /// Per-request reuse threshold of one slot (Eq. 14's theta). A gate
+    /// call whose live slots sit at more than one theta takes the scalar
+    /// decision loop instead of the AVX-512 one; decisions stay
+    /// bit-identical either way (the scalar kernel honors the per-slot
+    /// value).
     void setSlotTheta(std::size_t slot, double theta);
     double slotTheta(std::size_t slot) const;
 
@@ -167,8 +170,9 @@ class BatchMemoEngine : public nn::BatchGateEvaluator
     /// Attach (or detach, with nullptr — the default) the phase-time
     /// sink. Null means ZERO timing overhead: the hot loop's clock
     /// reads sit behind one branch on this pointer. Enabled, the BNN
-    /// path adds two clock reads per neuron row plus two per probe
-    /// block — serving-telemetry cost, opt-in like everything else.
+    /// path adds two clock reads per group of one or four neurons (one
+    /// where the group has no miss) plus two per probe block —
+    /// serving-telemetry cost, opt-in like everything else.
     /// The Oracle path records nothing (it has no probe/decide split).
     /// The sink must outlive the engine or be detached first.
     void setPhaseSink(GatePhaseTimes *sink) { phaseSink_ = sink; }
@@ -228,11 +232,6 @@ class BatchMemoEngine : public nn::BatchGateEvaluator
     /// neuron-major), so two threads can share a line only where a block
     /// boundary falls inside one. That costs speed, never correctness.
     std::size_t slotStride_ = 0;
-
-    /// Slots whose theta differs from options_.theta. Non-zero disables
-    /// the uniform-theta vector decision path (scalar decisions read the
-    /// per-slot threshold; both paths are bit-identical).
-    std::size_t nonDefaultThetaSlots_ = 0;
 
     // Memo table, SoA over [neuron][slot]: index flat_neuron *
     // slotStride_ + slot. Distinct slots belong to distinct sequences,

@@ -42,6 +42,23 @@ BinarizedGate::refresh(const GateParams &params)
     packRows(weights_, params);
 }
 
+std::span<const std::uint64_t *const>
+BinarizedInputs::assign(const BinarizedGate &gate, const tensor::Matrix &x,
+                        const tensor::Matrix &h,
+                        std::span<const std::size_t> rows)
+{
+    if (inputs_.size() < rows.size())
+        inputs_.resize(rows.size());
+    words_.resize(rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        if (inputs_[i].size() != gate.inputBits())
+            inputs_[i] = tensor::BitVector(gate.inputBits());
+        inputs_[i].assignConcat(x.row(rows[i]), h.row(rows[i]));
+        words_[i] = inputs_[i].raw().data();
+    }
+    return words_;
+}
+
 BinarizedNetwork::BinarizedNetwork(const RnnNetwork &network)
 {
     gates_.reserve(network.gateInstances().size());

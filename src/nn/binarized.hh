@@ -48,6 +48,31 @@ class BinarizedGate
 };
 
 /**
+ * The binarized inputs of one gate call: [x ; h] of each live row, the
+ * input panel that tensor::bnnDotPanel evaluates a BinarizedGate's
+ * weights against. The buffers persist between calls, so a caller that
+ * keeps one per thread allocates only when the row count grows or the
+ * gate width changes.
+ */
+class BinarizedInputs
+{
+  public:
+    /**
+     * Binarize [x.row(r) ; h.row(r)] for each r in @p rows, at the
+     * width of @p gate.
+     *
+     * @return one packed word array per row, valid until the next call
+     */
+    std::span<const std::uint64_t *const>
+    assign(const BinarizedGate &gate, const tensor::Matrix &x,
+           const tensor::Matrix &h, std::span<const std::size_t> rows);
+
+  private:
+    std::vector<tensor::BitVector> inputs_;
+    std::vector<const std::uint64_t *> words_;
+};
+
+/**
  * BNN mirror of a whole RnnNetwork, indexed by gate instanceId.
  */
 class BinarizedNetwork

@@ -95,7 +95,6 @@ class LstmCell : public RnnCell
     LstmCell(std::size_t x_size, std::size_t hidden, bool peepholes);
 
     CellType type() const override { return CellType::Lstm; }
-    bool hasPeepholes() const { return peepholes_; }
 
     BatchCellState makeBatchState(std::size_t batch) const override;
 

@@ -61,12 +61,6 @@ class NetworkStepper
     NetworkStepper(const NetworkStepper &) = delete;
     NetworkStepper &operator=(const NetworkStepper &) = delete;
 
-    std::size_t slots() const { return slots_; }
-
-    /// The stack this stepper advances (fleet hosts own one stepper per
-    /// resident model and route requests by it).
-    const RnnNetwork &network() const { return network_; }
-
     /// Zero the recurrent state (every descriptor state slot) of one
     /// slot in every layer — the admission step. The memo engine's
     /// state for the slot is reset separately

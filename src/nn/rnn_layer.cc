@@ -7,8 +7,7 @@ namespace nlfm::nn
 {
 
 RnnLayer::RnnLayer(const RnnConfig &config, std::size_t layer_index)
-    : layerIndex_(layer_index),
-      inputSize_(config.layerInputSize(layer_index)),
+    : inputSize_(config.layerInputSize(layer_index)),
       hidden_(config.hiddenSize)
 {
     const CellDescriptor &desc = cellDescriptor(config.cellType);

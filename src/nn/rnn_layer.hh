@@ -34,7 +34,6 @@ class RnnLayer
      */
     RnnLayer(const RnnConfig &config, std::size_t layer_index);
 
-    std::size_t layerIndex() const { return layerIndex_; }
     std::size_t directions() const { return cells_.size(); }
     std::size_t inputSize() const { return inputSize_; }
 
@@ -60,7 +59,6 @@ class RnnLayer
                       BatchGateEvaluator &eval, tensor::Batch &outputs);
 
   private:
-    std::size_t layerIndex_;
     std::size_t inputSize_;
     std::size_t hidden_;
     std::vector<std::unique_ptr<RnnCell>> cells_;

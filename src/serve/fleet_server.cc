@@ -207,13 +207,6 @@ FleetServer::stop()
         driver_.join();
 }
 
-StatsSnapshot
-FleetServer::modelStats(std::size_t model) const
-{
-    nlfm_assert(model < modelStats_.size(), "model id out of range");
-    return modelStats_[model].snapshot();
-}
-
 FleetStatsSnapshot
 FleetServer::fleetStats() const
 {

@@ -157,9 +157,6 @@ class FleetServer
     /// the last resetStats).
     StatsSnapshot stats() const { return stats_.snapshot(); }
 
-    /// One model's accounting.
-    StatsSnapshot modelStats(std::size_t model) const;
-
     /// Per-model breakdown plus the aggregate, in one snapshot.
     FleetStatsSnapshot fleetStats() const;
 

@@ -200,7 +200,6 @@ class Telemetry
               std::vector<std::string> model_names);
 
     const TelemetryOptions &options() const { return options_; }
-    const std::vector<std::string> &modelNames() const { return names_; }
 
     MetricsRegistry &registry() { return registry_; }
     const MetricsRegistry &registry() const { return registry_; }

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "memo/memo_engine.hh"
 #include "memo/threshold_tuner.hh"
@@ -345,6 +347,90 @@ TEST(MemoEngineTest, SetThetaTakesEffect)
     engine.setTheta(10.0);
     f.network->forward(f.inputs, engine);
     EXPECT_GT(engine.stats().reuseFraction(), low);
+}
+
+// -------------------------------------------------------- phase sink
+
+/** Totals and every gate's reuse of @p a equal those of @p b. */
+void
+expectSameStats(const ReuseStats &a, const ReuseStats &b,
+                std::size_t gates)
+{
+    EXPECT_EQ(a.totalSlots(), b.totalSlots());
+    EXPECT_EQ(a.totalReused(), b.totalReused());
+    for (std::size_t gate = 0; gate < gates; ++gate)
+        EXPECT_EQ(a.gateReuseFraction(gate), b.gateReuseFraction(gate))
+            << "gate " << gate;
+}
+
+TEST(MemoEngineTest, PhaseSinkTimesEveryPhaseAndChangesNoResult)
+{
+    // LSTM 128 x 128: a gate call of 16 rows has 2^19 multiply-adds, at
+    // least nn::kMinSplitWork, so on a pool of two its neurons split
+    // over two ranges (whose probe, decide and commit times the caller
+    // adds up after the join), and on AVX-512 hosts they decide in
+    // groups of four. A one-row forward stays below the split floor and
+    // decides one neuron at a time.
+    RnnConfig config;
+    config.cellType = CellType::Lstm;
+    config.inputSize = 128;
+    config.hiddenSize = 128;
+    config.layers = 1;
+    RnnNetwork network(config);
+    Rng rng(7);
+    nn::initNetwork(network, rng);
+    nn::BinarizedNetwork bnn(network);
+    ASSERT_GE(config.hiddenSize * (config.inputSize + config.hiddenSize) *
+                  16,
+              nn::kMinSplitWork);
+
+    std::vector<Sequence> batch(16, Sequence(12));
+    for (Sequence &sequence : batch)
+        for (auto &frame : sequence) {
+            frame.resize(config.inputSize);
+            for (float &v : frame)
+                v = static_cast<float>(rng.normal());
+        }
+
+    MemoOptions options;
+    options.predictor = PredictorKind::Bnn;
+    options.theta = 0.0122;
+    GatePhaseTimes times;
+    const auto read = [&times] {
+        return std::array<std::uint64_t, 3>{times.probeNs.load(),
+                                            times.decideNs.load(),
+                                            times.commitNs.load()};
+    };
+    const auto expect_advanced = [&](const std::array<std::uint64_t, 3> &
+                                         before,
+                                     const char *pass) {
+        const std::array<std::uint64_t, 3> after = read();
+        EXPECT_GT(after[0], before[0]) << pass << ": probe";
+        EXPECT_GT(after[1], before[1]) << pass << ": decide";
+        EXPECT_GT(after[2], before[2]) << pass << ": commit";
+    };
+    const std::size_t gates = network.gateInstances().size();
+
+    ThreadPool pool(2);
+    nn::BatchForwardOptions split;
+    split.pool = &pool;
+    BatchMemoEngine plain(network, &bnn, options);
+    const auto expected = network.forwardBatch(batch, plain, split);
+    BatchMemoEngine timed(network, &bnn, options);
+    timed.setPhaseSink(&times);
+    const auto before_batch = read();
+    EXPECT_EQ(network.forwardBatch(batch, timed, split), expected);
+    expect_advanced(before_batch, "16-sequence batch");
+    expectSameStats(timed.stats(), plain.stats(), gates);
+
+    MemoEngine plain_one(network, &bnn, options);
+    const Sequence expected_one = network.forward(batch[0], plain_one);
+    MemoEngine timed_one(network, &bnn, options);
+    timed_one.setPhaseSink(&times);
+    const auto before_one = read();
+    EXPECT_EQ(network.forward(batch[0], timed_one), expected_one);
+    expect_advanced(before_one, "one-sequence forward");
+    expectSameStats(timed_one.stats(), plain_one.stats(), gates);
 }
 
 // ------------------------------------------------------------- tuner
