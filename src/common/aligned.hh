@@ -2,22 +2,29 @@
  * @file
  * Cache-line-aligned vector storage.
  *
- * Two users with hard requirements:
+ * Three users with hard requirements:
  *
  *  - the bit-packed probe kernels, whose contiguous word buffers stream
  *    through 32/64-byte SIMD loads;
  *  - the batched memo tables, whose per-neuron slot ranges are padded to
  *    a cache line so concurrent sequence chunks never write the same
- *    line (the padding only works if index 0 starts a line).
+ *    line (the padding only works if index 0 starts a line);
+ *  - tensor::Matrix, so that neuron ranges of a split phase write whole
+ *    lines of the preact and state panels.
  *
- * malloc alignment (16 bytes on glibc) is not enough for either, so the
- * allocator goes through the aligned operator new.
+ * malloc alignment (16 bytes on glibc) is not enough for any of them.
+ * The allocator over-allocates through the plain operator new and keeps
+ * the pointer it got just below the aligned block: glibc 2.36's aligned
+ * allocation bypasses its per-thread cache, which made the small
+ * matrices a closed-batch pass allocates per step cost 1-4 % of a
+ * 1-4 sequence IMDB, BRC or RateRNN pass.
  */
 
 #ifndef NLFM_COMMON_ALIGNED_HH
 #define NLFM_COMMON_ALIGNED_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <new>
 #include <vector>
 
@@ -31,6 +38,9 @@ inline constexpr std::size_t kCacheLineBytes = 64;
 template <typename T, std::size_t Align = kCacheLineBytes>
 struct AlignedAllocator
 {
+    static_assert(Align >= alignof(void *) && (Align & (Align - 1)) == 0,
+                  "alignment must be a power of two that fits a pointer");
+
     using value_type = T;
 
     // The non-type Align parameter defeats std::allocator_traits'
@@ -50,13 +60,19 @@ struct AlignedAllocator
 
     T *allocate(std::size_t n)
     {
-        return static_cast<T *>(
-            ::operator new(n * sizeof(T), std::align_val_t{Align}));
+        constexpr std::size_t kHeader = sizeof(void *);
+        void *const raw =
+            ::operator new(n * sizeof(T) + kHeader + Align - 1);
+        const std::uintptr_t block =
+            (reinterpret_cast<std::uintptr_t>(raw) + kHeader + Align - 1) &
+            ~std::uintptr_t{Align - 1};
+        reinterpret_cast<void **>(block)[-1] = raw;
+        return reinterpret_cast<T *>(block);
     }
 
     void deallocate(T *p, std::size_t) noexcept
     {
-        ::operator delete(p, std::align_val_t{Align});
+        ::operator delete(reinterpret_cast<void **>(p)[-1]);
     }
 
     template <typename U>

@@ -18,7 +18,7 @@ ThreadPool::ThreadPool(std::size_t threads)
     }
     // The calling thread participates, so spawn n - 1 workers.
     for (std::size_t i = 1; i < n; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+        workers_.emplace_back([this, i] { workerLoop(i); });
 }
 
 ThreadPool::~ThreadPool()
@@ -33,7 +33,7 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::workerLoop()
+ThreadPool::workerLoop(std::size_t thread)
 {
     std::uint64_t seen_epoch = 0;
     while (true) {
@@ -42,16 +42,18 @@ ThreadPool::workerLoop()
         {
             std::unique_lock<std::mutex> lock(mutex_);
             wakeWorkers_.wait(lock, [&] {
-                return stopping_ ||
-                       (job_.epoch > seen_epoch &&
-                        job_.nextChunk < job_.ranges.size());
+                return stopping_ || job_.epoch > seen_epoch;
             });
             if (stopping_)
                 return;
-            range = job_.ranges[job_.nextChunk++];
+            // Only the newest job can be in flight: an older one this
+            // thread slept through had no chunk for it, since run()
+            // returns only after every chunk has run.
+            seen_epoch = job_.epoch;
+            if (thread >= job_.ranges.size())
+                continue;
+            range = job_.ranges[thread];
             body = job_.body;
-            if (job_.nextChunk >= job_.ranges.size())
-                seen_epoch = job_.epoch;
         }
         std::exception_ptr error;
         try {
@@ -112,14 +114,13 @@ ThreadPool::run(std::size_t count,
         ~RunGuard() { flag.store(false, std::memory_order_release); }
     } run_guard{inRun_};
 
-    // Chunk 0 runs on the calling thread.
+    // Chunk 0 runs on the calling thread, chunk i on worker thread i.
     const auto first = ranges.front();
     {
         std::lock_guard<std::mutex> lock(mutex_);
         job_.body = &body;
-        job_.ranges.assign(ranges.begin() + 1, ranges.end());
-        job_.nextChunk = 0;
-        job_.pending = ranges.size() - 1;
+        job_.ranges = std::move(ranges);
+        job_.pending = chunks - 1;
         job_.epoch = ++epoch_;
     }
     wakeWorkers_.notify_all();

@@ -2,11 +2,11 @@
  * @file
  * Minimal thread pool running blocking range jobs.
  *
- * RnnNetwork::forwardBatch runs sequence chunks on it, or splits a
- * one-chunk batch's gate calls and cell loops over it by neurons
+ * RnnNetwork::forwardBatch runs sequence chunks on it, or splits each
+ * phase of a one-chunk batch's cell steps over it by neurons
  * (nn/batch_evaluator.hh); the servers drive their ticks on a private
  * one. A job's range is split into contiguous static chunks, one per
- * thread.
+ * thread, and chunk i always runs on pool thread i.
  */
 
 #ifndef NLFM_COMMON_PARALLEL_HH
@@ -41,8 +41,11 @@ class ThreadPool
 
     /**
      * Execute body(begin, end) over [0, count) split into one contiguous
-     * chunk per thread; blocks until all chunks complete. The calling
-     * thread runs chunk 0.
+     * chunk per thread; blocks until all chunks complete. Chunk i runs
+     * on pool thread i: the calling thread is thread 0, worker i - 1 is
+     * thread i, so a caller that hands the same data to the same chunk
+     * index on every job keeps it on one core. Workers beyond the
+     * chunk count stay idle.
      *
      * If chunks throw, run() still waits for every chunk, then rethrows
      * the first exception on the calling thread; the pool stays usable.
@@ -67,15 +70,16 @@ class ThreadPool
     struct Job
     {
         const std::function<void(std::size_t, std::size_t)> *body = nullptr;
+        /// Chunk i's range; chunk 0 is the caller's.
         std::vector<std::pair<std::size_t, std::size_t>> ranges;
-        std::size_t nextChunk = 0;
         std::size_t pending = 0;
         std::uint64_t epoch = 0;
         /// First exception thrown by any chunk of the job.
         std::exception_ptr error;
     };
 
-    void workerLoop();
+    /** Worker loop of pool thread @p thread (1 .. threadCount() - 1). */
+    void workerLoop(std::size_t thread);
 
     std::vector<std::thread> workers_;
     std::mutex mutex_;

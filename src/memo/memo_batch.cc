@@ -36,36 +36,76 @@ nowNs()
 }
 
 /**
- * Scratch that a whole gate call shares: built by the calling thread,
- * then only read by the neuron ranges. The binarized inputs are the BNN
- * path's.
+ * One gate call of a phase: its live slots' input and output rows and,
+ * on the BNN path, their binarized [x; h].
  */
-struct CallScratch
+struct GateRows
 {
-    nn::BinarizedInputs inputs;
     std::vector<const float *> xRows;
     std::vector<const float *> hRows;
     std::vector<float *> outRows;
-    std::vector<std::uint32_t> slotEntry; ///< table column of each slot
+    std::span<const std::uint64_t *const> inputWords;
+};
 
-    /** The live slots' input and output rows and table columns. */
+/**
+ * Scratch that a whole phase shares: built by the calling thread (the
+ * prepare step), then only read by the neuron ranges.
+ */
+struct PhaseScratch
+{
+    std::vector<GateRows> gates;
+    std::vector<std::uint32_t> slotEntry; ///< table column of each slot
+    /// One binarization per distinct [x; h] of the phase (BNN path).
+    std::vector<nn::BinarizedInputs> inputs;
+
+    /** Each gate call's rows, and the live slots' table columns. */
     void
-    gather(const tensor::Matrix &x, const tensor::Matrix &h,
-           tensor::Matrix &preact, std::span<const std::size_t> rows,
-           std::size_t slot_base)
+    gather(std::span<const nn::GateCall> calls,
+           std::span<const std::size_t> rows, std::size_t slot_base)
     {
         const std::size_t slots = rows.size();
-        xRows.resize(slots);
-        hRows.resize(slots);
-        outRows.resize(slots);
-        tensor::gatherRowPointers(x, rows, xRows);
-        tensor::gatherRowPointers(h, rows, hRows);
-        tensor::gatherRowPointers(preact, rows, outRows);
+        if (gates.size() < calls.size())
+            gates.resize(calls.size());
+        for (std::size_t g = 0; g < calls.size(); ++g) {
+            GateRows &gate = gates[g];
+            gate.xRows.resize(slots);
+            gate.hRows.resize(slots);
+            gate.outRows.resize(slots);
+            tensor::gatherRowPointers(calls[g].x, rows, gate.xRows);
+            tensor::gatherRowPointers(calls[g].h, rows, gate.hRows);
+            tensor::gatherRowPointers(calls[g].preact, rows, gate.outRows);
+        }
         // Hoisted out of the per-neuron decision loops: the offsets only
-        // change per gate call.
+        // change per phase.
         slotEntry.resize(slots);
         for (std::size_t i = 0; i < slots; ++i)
             slotEntry[i] = static_cast<std::uint32_t>(slot_base + rows[i]);
+    }
+
+    /**
+     * Binarize each gate call's [x; h] rows, once per distinct pair of
+     * panels: gates that read the same panels (GRU's z and r, the four
+     * LSTM gates) share one binarization.
+     */
+    void
+    binarize(const nn::BinarizedNetwork &bnn,
+             std::span<const nn::GateCall> calls,
+             std::span<const std::size_t> rows)
+    {
+        if (inputs.size() < calls.size())
+            inputs.resize(calls.size());
+        std::size_t distinct = 0;
+        for (std::size_t g = 0; g < calls.size(); ++g) {
+            std::size_t k = 0;
+            while (k < g && (&calls[k].x != &calls[g].x ||
+                             &calls[k].h != &calls[g].h))
+                ++k;
+            gates[g].inputWords =
+                k < g ? gates[k].inputWords
+                      : inputs[distinct++].assign(
+                            bnn.gate(calls[g].instance.instanceId),
+                            calls[g].x, calls[g].h, rows);
+        }
     }
 };
 
@@ -90,14 +130,19 @@ struct alignas(kCacheLineBytes) RangeScratch
     std::vector<float> forward;
     std::vector<float> recurrent;
     std::vector<std::uint32_t> column;
-    std::vector<std::uint64_t> hits; ///< reused neurons per live slot
+    /// Reused neurons per gate of the phase and live slot: gate g's at
+    /// g * slots.
+    std::vector<std::uint64_t> hits;
     std::uint64_t probeNs = 0;
     std::uint64_t decideNs = 0;
     std::uint64_t commitNs = 0;
 
-    /** Size the buffers for @p slots live slots and zero the counts. */
+    /**
+     * Size the buffers for @p slots live slots and @p gates gates and
+     * zero the counts.
+     */
     void
-    reset(std::size_t slots)
+    reset(std::size_t slots, std::size_t gates)
     {
         ybPanel.resize(kProbeNeuronBlock * slots);
         miss.resize(tensor::kGroupNeurons * slots);
@@ -107,7 +152,7 @@ struct alignas(kCacheLineBytes) RangeScratch
         forward.resize(tensor::kGroupNeurons * slots);
         recurrent.resize(tensor::kGroupNeurons * slots);
         column.resize(slots);
-        hits.assign(slots, 0);
+        hits.assign(gates * slots, 0);
         probeNs = 0;
         decideNs = 0;
         commitNs = 0;
@@ -115,33 +160,33 @@ struct alignas(kCacheLineBytes) RangeScratch
 };
 
 /**
- * The calling thread's call scratch. thread_local so concurrent chunks
- * never share it and no gate call allocates once the buffers have
- * grown. The ranges reach it only through the caller's reference: a
+ * The calling thread's phase scratch. thread_local so concurrent chunks
+ * never share it and no phase allocates once the buffers have grown.
+ * The ranges reach it only through the caller's reference: a
  * thread_local named inside a range body would resolve to the worker
  * thread's own copy.
  */
-CallScratch &
-callScratch()
+PhaseScratch &
+phaseScratch()
 {
-    thread_local CallScratch scratch;
+    thread_local PhaseScratch scratch;
     return scratch;
 }
 
 /**
- * The calling thread's scratch for a gate call split into @p ranges
- * neuron ranges over @p slots live slots, reset; reached as callScratch
- * is.
+ * The calling thread's scratch for a phase of @p gates gates split into
+ * @p ranges neuron ranges over @p slots live slots, reset; reached as
+ * phaseScratch is.
  */
 std::span<RangeScratch>
-rangeScratch(std::size_t ranges, std::size_t slots)
+rangeScratch(std::size_t ranges, std::size_t slots, std::size_t gates)
 {
     thread_local std::vector<RangeScratch> tls_ranges;
     if (tls_ranges.size() < ranges)
         tls_ranges.resize(ranges);
     const std::span<RangeScratch> scratch(tls_ranges.data(), ranges);
     for (RangeScratch &s : scratch)
-        s.reset(slots);
+        s.reset(slots, gates);
     return scratch;
 }
 
@@ -382,17 +427,18 @@ decideRow(const std::int32_t *yb_row,
  * column[miss[m]], or at m where @p column is null.
  */
 __attribute__((always_inline)) inline void
-commitMisses(const CallScratch &call, std::size_t n, const TableRow &row,
-             const std::int32_t *yb_row, const std::uint32_t *miss,
-             std::size_t miss_count, const float *forward,
-             const float *recurrent, const std::uint32_t *column)
+commitMisses(const GateRows &gate, const std::uint32_t *slot_entry,
+             std::size_t n, const TableRow &row, const std::int32_t *yb_row,
+             const std::uint32_t *miss, std::size_t miss_count,
+             const float *forward, const float *recurrent,
+             const std::uint32_t *column)
 {
     for (std::size_t m = 0; m < miss_count; ++m) {
         const std::size_t i = miss[m];
         const std::size_t d = column != nullptr ? column[i] : m;
-        const std::uint32_t e = call.slotEntry[i];
+        const std::uint32_t e = slot_entry[i];
         const float y_t = forward[d] + recurrent[d];
-        call.outRows[i][n] = y_t;
+        gate.outRows[i][n] = y_t;
         row.y[e] = y_t;
         row.bnn[e] = yb_row[i];
         row.draw[e] = 0;
@@ -411,28 +457,28 @@ commitMisses(const CallScratch &call, std::size_t n, const TableRow &row,
  * panel, minus the hit slot.
  */
 __attribute__((always_inline)) inline void
-commitNeuron(const CallScratch &call, const nn::GateParams &params,
-             std::size_t n, const TableRow &row, const std::int32_t *yb_row,
-             const std::uint32_t *miss, std::size_t miss_count,
-             RangeScratch &s)
+commitNeuron(const GateRows &gate, const std::uint32_t *slot_entry,
+             const nn::GateParams &params, std::size_t n, const TableRow &row,
+             const std::int32_t *yb_row, const std::uint32_t *miss,
+             std::size_t miss_count, RangeScratch &s)
 {
     const std::span<float> forward(s.forward.data(), miss_count);
     const std::span<float> recurrent(s.recurrent.data(), miss_count);
-    if (miss_count == call.slotEntry.size()) {
-        tensor::dotLanesRows(params.wx.row(n), call.xRows, forward);
-        tensor::dotLanesRows(params.wh.row(n), call.hRows, recurrent);
+    if (miss_count == gate.xRows.size()) {
+        tensor::dotLanesRows(params.wx.row(n), gate.xRows, forward);
+        tensor::dotLanesRows(params.wh.row(n), gate.hRows, recurrent);
     } else {
         for (std::size_t m = 0; m < miss_count; ++m) {
-            s.panelX[m] = call.xRows[miss[m]];
-            s.panelH[m] = call.hRows[miss[m]];
+            s.panelX[m] = gate.xRows[miss[m]];
+            s.panelH[m] = gate.hRows[miss[m]];
         }
         tensor::dotLanesRows(params.wx.row(n), {s.panelX.data(), miss_count},
                              forward);
         tensor::dotLanesRows(params.wh.row(n), {s.panelH.data(), miss_count},
                              recurrent);
     }
-    commitMisses(call, n, row, yb_row, miss, miss_count, forward.data(),
-                 recurrent.data(), nullptr);
+    commitMisses(gate, slot_entry, n, row, yb_row, miss, miss_count,
+                 forward.data(), recurrent.data(), nullptr);
 }
 
 } // namespace
@@ -632,35 +678,55 @@ BatchMemoEngine::evaluateGateBatch(const nn::GateInstance &instance,
                                    std::size_t slot_base,
                                    tensor::Matrix &preact)
 {
-    nlfm_assert(preact.cols() == instance.neurons,
-                "preact panel width mismatch in batch memo engine");
+    const nn::GateCall gate{instance, params, x, h, preact};
+    evaluatePhase(instance, {&gate, 1}, rows, slot_base, {});
+}
+
+void
+BatchMemoEngine::evaluatePhase(const nn::GateInstance &cell,
+                               std::span<const nn::GateCall> gates,
+                               std::span<const std::size_t> rows,
+                               std::size_t slot_base,
+                               const EpilogueBody &epilogue)
+{
+    if (gates.empty()) {
+        BatchGateEvaluator::evaluatePhase(cell, gates, rows, slot_base,
+                                          epilogue);
+        return;
+    }
+    for (const nn::GateCall &gate : gates)
+        nlfm_assert(gate.preact.cols() == gate.instance.neurons,
+                    "preact panel width mismatch in batch memo engine");
     nlfm_assert(batch_ > 0, "evaluateGateBatch before beginBatch");
 
+    const std::size_t slots = rows.size();
     thread_local std::vector<std::uint64_t> tls_hits;
-    tls_hits.assign(rows.size(), 0);
+    tls_hits.assign(gates.size() * slots, 0);
     const std::span<std::uint64_t> hits = tls_hits;
     if (options_.predictor == PredictorKind::Oracle)
-        evaluateOracleBatch(instance, params, x, h, rows, slot_base, preact,
-                            hits);
+        evaluateOraclePhase(cell, gates, rows, slot_base, epilogue, hits);
     else
-        evaluateBnnBatch(instance, params, x, h, rows, slot_base, preact,
-                         hits);
+        evaluateBnnPhase(cell, gates, rows, slot_base, epilogue, hits);
 
-    // One processing step per live slot: every neuron counts toward the
-    // slot's total, the reused ones toward its hits, and its trace gets
-    // the step's miss count.
-    const std::size_t stat_base = instance.instanceId * slotStride_;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const std::size_t slot = slot_base + rows[i];
-        slotReused_[stat_base + slot] += hits[i];
-        slotTotal_[stat_base + slot] += instance.neurons;
+    // One processing step per gate and live slot: every neuron counts
+    // toward the slot's total, the reused ones toward its hits, and its
+    // trace gets the step's miss count.
+    for (std::size_t g = 0; g < gates.size(); ++g) {
+        const nn::GateInstance &instance = gates[g].instance;
+        const std::uint64_t *const gate_hits = hits.data() + g * slots;
+        const std::size_t stat_base = instance.instanceId * slotStride_;
+        for (std::size_t i = 0; i < slots; ++i) {
+            const std::size_t slot = slot_base + rows[i];
+            slotReused_[stat_base + slot] += gate_hits[i];
+            slotTotal_[stat_base + slot] += instance.neurons;
+        }
+        if (options_.recordTrace)
+            for (std::size_t i = 0; i < slots; ++i)
+                liveTrace(slot_base + rows[i])
+                    .gates[instance.instanceId]
+                    .misses.push_back(static_cast<std::uint32_t>(
+                        instance.neurons - gate_hits[i]));
     }
-    if (options_.recordTrace)
-        for (std::size_t i = 0; i < rows.size(); ++i)
-            liveTrace(slot_base + rows[i])
-                .gates[instance.instanceId]
-                .misses.push_back(
-                    static_cast<std::uint32_t>(instance.neurons - hits[i]));
 }
 
 SequenceTrace &
@@ -672,46 +738,51 @@ BatchMemoEngine::liveTrace(std::size_t slot)
 }
 
 void
-BatchMemoEngine::evaluateOracleBatch(const nn::GateInstance &instance,
-                                     const nn::GateParams &params,
-                                     const tensor::Matrix &x,
-                                     const tensor::Matrix &h,
+BatchMemoEngine::evaluateOraclePhase(const nn::GateInstance &cell,
+                                     std::span<const nn::GateCall> gates,
                                      std::span<const std::size_t> rows,
                                      std::size_t slot_base,
-                                     tensor::Matrix &preact,
+                                     const EpilogueBody &epilogue,
                                      std::span<std::uint64_t> hits)
 {
     const std::size_t slots = rows.size();
-    CallScratch &call = callScratch();
-    call.gather(x, h, preact, rows, slot_base);
+    PhaseScratch &phase = phaseScratch();
+    phase.gather(gates, rows, slot_base);
     const std::span<RangeScratch> range_scratch =
-        rangeScratch(neuronRangeCount(instance, slots), slots);
+        rangeScratch(neuronRangeCount(cell, slots), slots, gates.size());
 
-    forEachNeuronRange(instance, slots, [&](std::size_t range,
-                                            std::size_t begin,
-                                            std::size_t end) {
-        // The Oracle always computes y_t (Eq. 9): the exact panel, as
-        // DirectBatchEvaluator fills it, then each decision in place.
-        params.wx.matvecPanel(x, rows, preact, false, begin, end);
-        params.wh.matvecPanel(h, rows, preact, true, begin, end);
+    forEachPhaseRange(cell, slots, epilogue, [&](std::size_t range,
+                                                 std::size_t begin,
+                                                 std::size_t end) {
         RangeScratch &s = range_scratch[range];
-        for (std::size_t n = begin; n < end; ++n) {
-            const std::size_t entry_base =
-                (instance.neuronBase + n) * slotStride_;
-            for (std::size_t i = 0; i < slots; ++i) {
-                const std::size_t slot = call.slotEntry[i];
-                const std::size_t entry = entry_base + slot;
-                float &out = call.outRows[i][n];
-                if (oracleReuseDecision(out, cachedOutput_[entry],
-                                        valid_[entry] != 0,
-                                        slotThetaFp_[slot])) {
-                    // Use the stale value (Eq. 10); the entry is kept
-                    // (Eq. 11).
-                    out = cachedOutput_[entry];
-                    ++s.hits[i];
-                } else {
-                    cachedOutput_[entry] = out;
-                    valid_[entry] = 1;
+        for (std::size_t g = 0; g < gates.size(); ++g) {
+            const nn::GateCall &gate = gates[g];
+            float *const *const out_rows = phase.gates[g].outRows.data();
+            std::uint64_t *const gate_hits = s.hits.data() + g * slots;
+            // The Oracle always computes y_t (Eq. 9): the exact panel, as
+            // DirectBatchEvaluator fills it, then each decision in place.
+            gate.params.wx.matvecPanel(gate.x, rows, gate.preact, false,
+                                       begin, end);
+            gate.params.wh.matvecPanel(gate.h, rows, gate.preact, true,
+                                       begin, end);
+            for (std::size_t n = begin; n < end; ++n) {
+                const std::size_t entry_base =
+                    (gate.instance.neuronBase + n) * slotStride_;
+                for (std::size_t i = 0; i < slots; ++i) {
+                    const std::size_t slot = phase.slotEntry[i];
+                    const std::size_t entry = entry_base + slot;
+                    float &out = out_rows[i][n];
+                    if (oracleReuseDecision(out, cachedOutput_[entry],
+                                            valid_[entry] != 0,
+                                            slotThetaFp_[slot])) {
+                        // Use the stale value (Eq. 10); the entry is
+                        // kept (Eq. 11).
+                        out = cachedOutput_[entry];
+                        ++gate_hits[i];
+                    } else {
+                        cachedOutput_[entry] = out;
+                        valid_[entry] = 1;
+                    }
                 }
             }
         }
@@ -719,47 +790,39 @@ BatchMemoEngine::evaluateOracleBatch(const nn::GateInstance &instance,
 
     // Join: integer sums are the same in any order.
     for (const RangeScratch &s : range_scratch)
-        for (std::size_t i = 0; i < slots; ++i)
+        for (std::size_t i = 0; i < hits.size(); ++i)
             hits[i] += s.hits[i];
 }
 
 void
-BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
-                                  const nn::GateParams &params,
-                                  const tensor::Matrix &x,
-                                  const tensor::Matrix &h,
+BatchMemoEngine::evaluateBnnPhase(const nn::GateInstance &cell,
+                                  std::span<const nn::GateCall> gates,
                                   std::span<const std::size_t> rows,
                                   std::size_t slot_base,
-                                  tensor::Matrix &preact,
+                                  const EpilogueBody &epilogue,
                                   std::span<std::uint64_t> hits)
 {
-    const nn::BinarizedGate &bgate = bnn_->gate(instance.instanceId);
     const bool throttle = options_.throttle;
     const std::size_t slots = rows.size();
 
     // Phase-time attribution (setPhaseSink): local accumulators per
     // range, flushed to the shared sink once at the end, so concurrent
-    // chunk workers only contend on three atomic adds per gate call.
+    // chunk workers only contend on three atomic adds per phase.
     // timed == false is the default and costs one branch per phase
     // boundary.
     GatePhaseTimes *const sink = phaseSink_;
     const bool timed = sink != nullptr;
-    const std::uint64_t t_call = timed ? nowNs() : 0;
 
-    // State shared by the gate call's neuron ranges, built here once and
-    // only read by them: one input binarization per live slot per
-    // timestep (the FMU input vector of each sequence), which is probe
-    // work.
-    CallScratch &call = callScratch();
-    const std::span<const std::uint64_t *const> input_words =
-        call.inputs.assign(bgate, x, h, rows);
-    std::uint64_t probe_ns = timed ? nowNs() - t_call : 0;
-
-    call.gather(x, h, preact, rows, slot_base);
-    const std::span<const float *const> x_rows = call.xRows;
-    const std::span<const float *const> h_rows = call.hRows;
-    float *const *const out_rows = call.outRows.data();
-    const std::span<const std::uint32_t> slot_entry = call.slotEntry;
+    // Prepare: state shared by the phase's neuron ranges, built here
+    // once and only read by them. The input binarizations, one per
+    // distinct [x; h] per live slot per timestep (the FMU input vector
+    // of each sequence), are probe work.
+    PhaseScratch &phase = phaseScratch();
+    phase.gather(gates, rows, slot_base);
+    const std::uint64_t t_binarize = timed ? nowNs() : 0;
+    phase.binarize(*bnn_, gates, rows);
+    std::uint64_t probe_ns = timed ? nowNs() - t_binarize : 0;
+    const std::span<const std::uint32_t> slot_entry = phase.slotEntry;
 
     // The vector decision path covers the default configuration
     // (throttling on) over a dense slot range whose slots all sit at ONE
@@ -777,6 +840,8 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
     // down. Only genuinely mixed panels (floor mid-transition) pay the
     // scalar path now.
 #if defined(__x86_64__)
+    // Every gate of a cell binarizes inputs of the cell's width.
+    const std::size_t input_bits = cell.xSize + cell.hSize;
     static const bool has_decide_isa =
         __builtin_cpu_supports("avx512f") > 0 &&
         __builtin_cpu_supports("avx512dq") > 0;
@@ -793,8 +858,7 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
         tensor::bnnActiveIsa() == tensor::BnnIsa::Avx512 &&
         panel_theta_raw <
             std::numeric_limits<std::int64_t>::max() /
-                (static_cast<std::int64_t>(2 * bgate.inputBits() + 2)
-                 << 16);
+                (static_cast<std::int64_t>(2 * input_bits + 2) << 16);
 #else
     constexpr bool vector_decide = false;
 #endif
@@ -802,14 +866,7 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
     // Per-range scratch, sized here so the ranges only write buffer
     // contents.
     const std::span<RangeScratch> range_scratch =
-        rangeScratch(neuronRangeCount(instance, slots), slots);
-
-    const auto table_row = [&](std::size_t n) {
-        const std::size_t base = (instance.neuronBase + n) * slotStride_;
-        return TableRow{cachedBnn_.data() + base, valid_.data() + base,
-                        deltaRaw_.data() + base,
-                        cachedOutput_.data() + base};
-    };
+        rangeScratch(neuronRangeCount(cell, slots), slots, gates.size());
 
     // The one gate loop, for a group width fixed at compile time: per
     // probe block, probe every live slot of the block's neurons in one
@@ -819,109 +876,137 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
     // commit the group's misses (Phase 2, Eqs. 15-17: full evaluation
     // and a refresh of the whole entry). Each neuron's decision reads
     // and writes only its own table entries and output column, so
-    // deciding a group before committing it changes no bit.
+    // deciding a group before committing it changes no bit. A range
+    // runs it for every gate of the phase, then the epilogue.
     const auto run = [&](auto group_width) {
         constexpr std::size_t kGroup = decltype(group_width)::value;
-        forEachNeuronRange(instance, slots, [&](std::size_t range,
-                                                std::size_t begin,
-                                                std::size_t end) {
+        forEachPhaseRange(cell, slots, epilogue, [&](std::size_t range,
+                                                     std::size_t begin,
+                                                     std::size_t end) {
             RangeScratch &s = range_scratch[range];
-            std::uint64_t t_mark = 0;
-            for (std::size_t n0 = begin; n0 < end;
-                 n0 += kProbeNeuronBlock) {
-                const std::size_t block =
-                    std::min(kProbeNeuronBlock, end - n0);
-                if (timed)
-                    t_mark = nowNs();
-                tensor::bnnDotPanel(bgate.weights(), n0, block, input_words,
-                                    s.ybPanel);
-                if (timed)
-                    s.probeNs += nowNs() - t_mark;
-
-                for (std::size_t g = 0; g < block; g += kGroup) {
-                    // A constant for groups of one, so that their loops
-                    // over k fold away (a run-time 1 cost 3-4 % of an
-                    // IMDB serving step).
-                    const std::size_t group =
-                        kGroup == 1 ? 1 : std::min(kGroup, block - g);
-                    const std::int32_t *yb_rows =
-                        s.ybPanel.data() + g * slots;
+            for (std::size_t gi = 0; gi < gates.size(); ++gi) {
+                const nn::GateInstance &instance = gates[gi].instance;
+                const nn::GateParams &params = gates[gi].params;
+                const GateRows &gate = phase.gates[gi];
+                const tensor::BitMatrix &signs =
+                    bnn_->gate(instance.instanceId).weights();
+                float *const *const out_rows = gate.outRows.data();
+                std::uint64_t *const gate_hits = s.hits.data() + gi * slots;
+                const auto table_row = [&](std::size_t n) {
+                    const std::size_t base =
+                        (instance.neuronBase + n) * slotStride_;
+                    return TableRow{cachedBnn_.data() + base,
+                                    valid_.data() + base,
+                                    deltaRaw_.data() + base,
+                                    cachedOutput_.data() + base};
+                };
+                std::uint64_t t_mark = 0;
+                for (std::size_t n0 = begin; n0 < end;
+                     n0 += kProbeNeuronBlock) {
+                    const std::size_t block =
+                        std::min(kProbeNeuronBlock, end - n0);
                     if (timed)
                         t_mark = nowNs();
-                    std::size_t miss_count[kGroup];
-                    std::size_t misses = 0;
-                    for (std::size_t k = 0; k < group; ++k) {
-                        const std::size_t n = n0 + g + k;
-                        const TableRow row = table_row(n);
-                        std::uint32_t *miss = s.miss.data() + k * slots;
-#if defined(__x86_64__)
-                        if (vector_decide)
-                            // Every slot sits at panel_theta_raw here.
-                            miss_count[k] = decideRowAvx512(
-                                yb_rows + k * slots, slots, slot_entry[0],
-                                row.bnn, row.valid, row.draw, row.y,
-                                s.hits.data(), out_rows, n, panel_theta_raw,
-                                Q16::fromRaw(panel_theta_raw), miss,
-                                s.missBlocks.data() + k * ((slots + 7) / 8));
-                        else
-#endif
-                            miss_count[k] = decideRow(
-                                yb_rows + k * slots, slot_entry, row,
-                                slotThetaRaw_.data(), throttle,
-                                s.hits.data(), out_rows, n, miss);
-                        misses += miss_count[k];
-                    }
-                    if (timed) {
-                        const std::uint64_t t = nowNs();
-                        s.decideNs += t - t_mark;
-                        t_mark = t;
-                    }
-                    if (misses == 0)
-                        continue;
-
-                    // A whole group of four makes one dotLanesGroup call
-                    // per weight matrix where it pays, its dots
-                    // neuron-major and each neuron's indexed by
-                    // s.column; else each neuron is evaluated on its own.
-                    std::size_t panel = 0;
-                    if constexpr (kGroup == tensor::kGroupNeurons) {
-                        if (group == kGroup)
-                            panel = groupUnion(s, slots, miss_count, misses);
-                        if (panel != 0) {
-                            buildUnionPanel(s, slots, x_rows, h_rows);
-                            const float *wx[kGroup];
-                            const float *wh[kGroup];
-                            for (std::size_t k = 0; k < kGroup; ++k) {
-                                wx[k] = params.wx.row(n0 + g + k).data();
-                                wh[k] = params.wh.row(n0 + g + k).data();
-                            }
-                            const std::size_t dots = kGroup * panel;
-                            tensor::dotLanesGroup(
-                                wx, instance.xSize, {s.panelX.data(), panel},
-                                {s.forward.data(), dots});
-                            tensor::dotLanesGroup(
-                                wh, instance.hSize, {s.panelH.data(), panel},
-                                {s.recurrent.data(), dots});
-                        }
-                    }
-                    for (std::size_t k = 0; k < group; ++k) {
-                        if (miss_count[k] == 0)
-                            continue;
-                        const std::size_t n = n0 + g + k;
-                        const std::int32_t *yb_row = yb_rows + k * slots;
-                        const std::uint32_t *miss = s.miss.data() + k * slots;
-                        if (panel == 0)
-                            commitNeuron(call, params, n, table_row(n),
-                                         yb_row, miss, miss_count[k], s);
-                        else
-                            commitMisses(call, n, table_row(n), yb_row,
-                                         miss, miss_count[k],
-                                         s.forward.data() + k * panel,
-                                         s.recurrent.data() + k * panel,
-                                         s.column.data());
-                    }
+                    tensor::bnnDotPanel(signs, n0, block, gate.inputWords,
+                                        s.ybPanel);
                     if (timed)
-                        s.commitNs += nowNs() - t_mark;
+                        s.probeNs += nowNs() - t_mark;
+
+                    for (std::size_t g = 0; g < block; g += kGroup) {
+                        // A constant for groups of one, so that their
+                        // loops over k fold away (a run-time 1 cost 3-4 %
+                        // of an IMDB serving step).
+                        const std::size_t group =
+                            kGroup == 1 ? 1 : std::min(kGroup, block - g);
+                        const std::int32_t *yb_rows =
+                            s.ybPanel.data() + g * slots;
+                        if (timed)
+                            t_mark = nowNs();
+                        std::size_t miss_count[kGroup];
+                        std::size_t misses = 0;
+                        for (std::size_t k = 0; k < group; ++k) {
+                            const std::size_t n = n0 + g + k;
+                            const TableRow row = table_row(n);
+                            std::uint32_t *miss = s.miss.data() + k * slots;
+#if defined(__x86_64__)
+                            if (vector_decide)
+                                // Every slot sits at panel_theta_raw here.
+                                miss_count[k] = decideRowAvx512(
+                                    yb_rows + k * slots, slots,
+                                    slot_entry[0], row.bnn, row.valid,
+                                    row.draw, row.y, gate_hits, out_rows, n,
+                                    panel_theta_raw,
+                                    Q16::fromRaw(panel_theta_raw), miss,
+                                    s.missBlocks.data() +
+                                        k * ((slots + 7) / 8));
+                            else
+#endif
+                                miss_count[k] = decideRow(
+                                    yb_rows + k * slots, slot_entry, row,
+                                    slotThetaRaw_.data(), throttle,
+                                    gate_hits, out_rows, n, miss);
+                            misses += miss_count[k];
+                        }
+                        if (timed) {
+                            const std::uint64_t t = nowNs();
+                            s.decideNs += t - t_mark;
+                            t_mark = t;
+                        }
+                        if (misses == 0)
+                            continue;
+
+                        // A whole group of four makes one dotLanesGroup
+                        // call per weight matrix where it pays, its dots
+                        // neuron-major and each neuron's indexed by
+                        // s.column; else each neuron is evaluated on its
+                        // own.
+                        std::size_t panel = 0;
+                        if constexpr (kGroup == tensor::kGroupNeurons) {
+                            if (group == kGroup)
+                                panel =
+                                    groupUnion(s, slots, miss_count, misses);
+                            if (panel != 0) {
+                                buildUnionPanel(s, slots, gate.xRows,
+                                                gate.hRows);
+                                const float *wx[kGroup];
+                                const float *wh[kGroup];
+                                for (std::size_t k = 0; k < kGroup; ++k) {
+                                    wx[k] = params.wx.row(n0 + g + k).data();
+                                    wh[k] = params.wh.row(n0 + g + k).data();
+                                }
+                                const std::size_t dots = kGroup * panel;
+                                tensor::dotLanesGroup(
+                                    wx, instance.xSize,
+                                    {s.panelX.data(), panel},
+                                    {s.forward.data(), dots});
+                                tensor::dotLanesGroup(
+                                    wh, instance.hSize,
+                                    {s.panelH.data(), panel},
+                                    {s.recurrent.data(), dots});
+                            }
+                        }
+                        for (std::size_t k = 0; k < group; ++k) {
+                            if (miss_count[k] == 0)
+                                continue;
+                            const std::size_t n = n0 + g + k;
+                            const std::int32_t *yb_row = yb_rows + k * slots;
+                            const std::uint32_t *miss =
+                                s.miss.data() + k * slots;
+                            if (panel == 0)
+                                commitNeuron(gate, slot_entry.data(), params,
+                                             n, table_row(n), yb_row, miss,
+                                             miss_count[k], s);
+                            else
+                                commitMisses(gate, slot_entry.data(), n,
+                                             table_row(n), yb_row, miss,
+                                             miss_count[k],
+                                             s.forward.data() + k * panel,
+                                             s.recurrent.data() + k * panel,
+                                             s.column.data());
+                        }
+                        if (timed)
+                            s.commitNs += nowNs() - t_mark;
+                    }
                 }
             }
         });
@@ -945,13 +1030,13 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
     else
         run(std::integral_constant<std::size_t, 1>{});
 
-    // Join. Every neuron of the gate counts into one reuse counter per
+    // Join. Every neuron of a gate counts into one reuse counter per
     // slot, so each range counted its own hits; integer sums are the
     // same in any order.
     std::uint64_t decide_ns = 0;
     std::uint64_t commit_ns = 0;
     for (const RangeScratch &s : range_scratch) {
-        for (std::size_t i = 0; i < slots; ++i)
+        for (std::size_t i = 0; i < hits.size(); ++i)
             hits[i] += s.hits[i];
         probe_ns += s.probeNs;
         decide_ns += s.decideNs;

@@ -50,11 +50,11 @@ namespace nlfm::memo
 /// refresh (Phase 2). Decide and commit are timed per group of neurons
 /// (four on the grouped commit's panels, else one), with no commit span
 /// for a group that has no miss. The totals are summed thread time, not
-/// wall time: a gate call whose neurons are split over a pool
-/// (BatchGateEvaluator::forEachNeuronRange) adds every range's time,
-/// so one call can add more than its wall duration. Atomic because a
+/// wall time: a phase whose neurons are split over a pool
+/// (BatchGateEvaluator::evaluatePhase) adds every range's time, so one
+/// phase can add more than its wall duration. Atomic because a
 /// serving tick's chunks may run on concurrent pool workers, each
-/// flushing its per-call totals once. Consumers (the serving tracer)
+/// flushing its per-phase totals once. Consumers (the serving tracer)
 /// difference the counters between reads — values are cumulative ns
 /// since attachment.
 struct GatePhaseTimes
@@ -144,12 +144,24 @@ class BatchMemoEngine : public nn::BatchGateEvaluator
     void setSlotTheta(std::size_t slot, double theta);
     double slotTheta(std::size_t slot) const;
 
+    /// A one-gate phase.
     void evaluateGateBatch(const nn::GateInstance &instance,
                            const nn::GateParams &params,
                            const tensor::Matrix &x, const tensor::Matrix &h,
                            std::span<const std::size_t> rows,
                            std::size_t slot_base,
                            tensor::Matrix &preact) override;
+
+    /// Every gate of the phase, then its epilogue, in one neuron split:
+    /// a prepare step on the calling thread (row gathers, and one input
+    /// binarization per distinct [x; h] of the phase), one range body
+    /// per run of neurons (every gate's gate loop, then the epilogue),
+    /// and a join that adds up each gate's per-range counters.
+    void evaluatePhase(const nn::GateInstance &cell,
+                       std::span<const nn::GateCall> gates,
+                       std::span<const std::size_t> rows,
+                       std::size_t slot_base,
+                       const EpilogueBody &epilogue) override;
 
     /// Reuse counters of the current batch, reduced over slots in slot
     /// order — a pure function of per-slot counters, so identical for
@@ -191,20 +203,19 @@ class BatchMemoEngine : public nn::BatchGateEvaluator
     /// The trace @p slot records into (recordTrace).
     SequenceTrace &liveTrace(std::size_t slot);
 
-    // Both add each live slot's reused neurons of the call to
-    // hits[live slot position].
-    void evaluateOracleBatch(const nn::GateInstance &instance,
-                             const nn::GateParams &params,
-                             const tensor::Matrix &x,
-                             const tensor::Matrix &h,
+    // evaluatePhase for a phase with gate calls. Both add each live
+    // slot's reused neurons of gate g to hits[g * rows.size() + live
+    // slot position].
+    void evaluateOraclePhase(const nn::GateInstance &cell,
+                             std::span<const nn::GateCall> gates,
                              std::span<const std::size_t> rows,
-                             std::size_t slot_base, tensor::Matrix &preact,
+                             std::size_t slot_base,
+                             const EpilogueBody &epilogue,
                              std::span<std::uint64_t> hits);
-    void evaluateBnnBatch(const nn::GateInstance &instance,
-                          const nn::GateParams &params,
-                          const tensor::Matrix &x, const tensor::Matrix &h,
+    void evaluateBnnPhase(const nn::GateInstance &cell,
+                          std::span<const nn::GateCall> gates,
                           std::span<const std::size_t> rows,
-                          std::size_t slot_base, tensor::Matrix &preact,
+                          std::size_t slot_base, const EpilogueBody &epilogue,
                           std::span<std::uint64_t> hits);
 
     const nn::RnnNetwork &network_;

@@ -54,9 +54,11 @@ inline constexpr std::size_t kNeuronBlock = 32;
 inline constexpr std::size_t kMinSplitWork = std::size_t{1} << 18;
 
 /**
- * Fewest neuron-slots (neurons x live slots) a cell's elementwise loop
- * needs before it splits with the gate calls of its step
- * (BatchGateEvaluator::forEachCellRange). A loop evaluates one to five
+ * Fewest neuron-slots (neurons x live slots) an epilogue-only phase (a
+ * cell loop with no gate call of its own, BatchGateEvaluator::
+ * evaluatePhase) needs before it splits with the gate calls of its
+ * step; an epilogue that shares its phase with gate calls runs inside
+ * their job and needs no floor. A loop evaluates one to five
  * activations per neuron-slot (5 ns for sigmoid, 28 ns for tanh), and
  * one pool dispatch costs 15-40 us (bench_micro_kernels'
  * BM_Activation, BM_ThreadPoolRun). Split without this floor, one-chunk
@@ -84,8 +86,28 @@ struct BatchCellState
 };
 
 /**
- * Strategy for computing one gate's pre-activations across a panel of
+ * One gate call of a phase (BatchGateEvaluator::evaluatePhase): fill
+ * @p preact for @p instance from the panels @p x and @p h, as
+ * evaluateGateBatch does.
+ */
+struct GateCall
+{
+    const GateInstance &instance;
+    const GateParams &params;
+    const tensor::Matrix &x;
+    const tensor::Matrix &h;
+    tensor::Matrix &preact;
+};
+
+/**
+ * Strategy for computing gate pre-activations across a panel of
  * sequences.
+ *
+ * A cell step is a few dependency phases (RnnCell::stepBatch): each
+ * phase is a group of gate calls plus the elementwise loop, its
+ * epilogue, that consumes them (evaluatePhase). An epilogue writes only
+ * its own columns, and only of matrices that no gate of its phase
+ * reads; the next phase starts after it has finished for every neuron.
  *
  * Two concurrency patterns, chosen by RnnNetwork::forwardBatch:
  *
@@ -95,21 +117,22 @@ struct BatchCellState
  *    engine) index their state with slot_base + local row and must
  *    keep per-slot entries disjoint.
  *  - neuron split (one chunk): calls come from one thread at a time,
- *    and an implementation may split the call's neurons over the pool
- *    that forwardBatch hands in (forEachNeuronRange). Every run of
- *    neurons writes only its own preact columns and per-neuron state;
- *    state shared by all neurons of a gate (a per-slot counter) must be
- *    accumulated per range and combined after the join. The cells'
- *    elementwise loops between and after the gate calls
- *    (RnnCell::stepBatch) split the same way, through the evaluator
- *    they are handed (forEachCellRange), each range writing only its
- *    own state columns.
+ *    and an implementation may split a phase's neurons over the pool
+ *    that forwardBatch hands in, as one pool job per phase
+ *    (forEachPhaseRange): each range runs its neurons of every gate,
+ *    then the epilogue on the same columns. Every run of neurons writes
+ *    only its own preact columns and per-neuron state; state shared by
+ *    all neurons of a gate (a per-slot counter) must be accumulated per
+ *    range and combined after the join.
  *
- * The pool is never visible to implementations that do not call
- * forEachNeuronRange: a decorator that wraps another evaluator runs it
- * inline, which is correct, just not split. Handed to forwardBatch, the
- * decorator itself holds the pool, so the cells' elementwise loops
- * split while the gate calls it wraps run inline.
+ * The default evaluatePhase runs the phase's gate calls one by one
+ * through evaluateGateBatch, then splits the epilogue on its own. So
+ * the pool is never visible to gate calls of implementations that
+ * override only evaluateGateBatch and do not call forEachNeuronRange: a
+ * decorator that wraps another evaluator runs it inline, which is
+ * correct, just not split. Handed to forwardBatch, the decorator itself
+ * holds the pool, so the cells' epilogues split while the gate calls it
+ * wraps run inline.
  */
 class BatchGateEvaluator
 {
@@ -117,6 +140,13 @@ class BatchGateEvaluator
     /** body(range, begin, end) of forEachNeuronRange. */
     using NeuronRangeBody =
         std::function<void(std::size_t, std::size_t, std::size_t)>;
+
+    /**
+     * epilogue(begin, end) of evaluatePhase: the cell's elementwise
+     * loop over neurons [begin, end) of every live row. Empty for a
+     * phase without one.
+     */
+    using EpilogueBody = std::function<void(std::size_t, std::size_t)>;
 
     virtual ~BatchGateEvaluator() = default;
 
@@ -147,20 +177,25 @@ class BatchGateEvaluator
                                    tensor::Matrix &preact) = 0;
 
     /**
-     * forEachNeuronRange for one elementwise loop of a cell's stepBatch
-     * over @p slots live rows, given one of the cell's gate instances.
-     * All gates of a cell share neurons, xSize and hSize, so the loop
-     * splits only when the gate calls of its step split, and then only
-     * if it has at least kMinSplitElements neuron-slots. The body must
-     * read and write only columns [begin, end) of its rows.
+     * One dependency phase of a cell step: fill every gate call of
+     * @p gates over @p rows (as evaluateGateBatch), then run
+     * @p epilogue, if any, over every neuron. @p cell is one of the
+     * cell's gate instances; all gates of a cell share neurons, xSize
+     * and hSize, so it sizes the phase even when @p gates is empty.
+     * The epilogue must read and write only columns [begin, end) of its
+     * rows, and write no matrix that a gate of @p gates reads.
+     *
+     * The default runs the gate calls one after another, then the
+     * epilogue as a job of its own, split as forEachNeuronRange splits
+     * the cell's gate calls, but only if it has at least
+     * kMinSplitElements neuron-slots. A splitting evaluator overrides
+     * it to run the whole phase in one pool job (forEachPhaseRange).
      */
-    template <typename Body>
-    void
-    forEachCellRange(const GateInstance &instance, std::size_t slots,
-                     Body &&body) const
-    {
-        runRanges(cellRangeCount(instance, slots), instance.neurons, body);
-    }
+    virtual void evaluatePhase(const GateInstance &cell,
+                               std::span<const GateCall> gates,
+                               std::span<const std::size_t> rows,
+                               std::size_t slot_base,
+                               const EpilogueBody &epilogue);
 
   protected:
     /**
@@ -180,11 +215,14 @@ class BatchGateEvaluator
      * in [0, neuronRangeCount(instance, slots)) is one thread's share:
      * its calls run one after another on that thread, so per-range
      * accumulators need no synchronization, while different ranges run
-     * concurrently on the neuron pool (range 0 on the calling thread).
-     * Which blocks a range gets is decided at run time and may be none;
-     * anything that depends on it must be an order-independent sum.
-     * Returns after all calls; with a single range, one direct inline
-     * call covers every neuron (no pool, no std::function).
+     * concurrently on the neuron pool (range r on pool thread r, range
+     * 0 on the calling thread). Range r has a home share of the blocks,
+     * the same on every call, which it runs first; then it helps with
+     * what is left of the other ranges' shares. So which blocks a range
+     * gets is decided at run time and may be none; anything that
+     * depends on it must be an order-independent sum. Returns after all
+     * calls; with a single range, one direct inline call covers every
+     * neuron (no pool, no std::function).
      */
     template <typename Body>
     void
@@ -195,14 +233,28 @@ class BatchGateEvaluator
                   body);
     }
 
-  private:
     /**
-     * neuronRangeCount for a cell loop: 1 below kMinSplitElements
-     * neuron-slots.
+     * The one pool job of a phase with gate calls (evaluatePhase):
+     * forEachNeuronRange over @p cell's neurons, where each call runs
+     * gates(range, begin, end), which evaluates every gate of the phase
+     * on neurons [begin, end), then epilogue(begin, end) on the same
+     * columns.
      */
-    std::size_t cellRangeCount(const GateInstance &instance,
-                               std::size_t slots) const;
+    template <typename GateBody>
+    void
+    forEachPhaseRange(const GateInstance &cell, std::size_t slots,
+                      const EpilogueBody &epilogue, GateBody &&gates) const
+    {
+        const auto body = [&](std::size_t range, std::size_t begin,
+                              std::size_t end) {
+            gates(range, begin, end);
+            if (epilogue)
+                epilogue(begin, end);
+        };
+        forEachNeuronRange(cell, slots, body);
+    }
 
+  private:
     /** Neurons [0, neurons) over @p ranges ranges, as forEachNeuronRange. */
     template <typename Body>
     void
@@ -227,6 +279,7 @@ class BatchGateEvaluator
 /**
  * Baseline evaluator: exact full-precision panel products, per row
  * float(dotLanes(Wx[n], x) + dotLanes(Wh[n], h)) whatever the panel.
+ * A gate call is a one-gate phase.
  */
 class DirectBatchEvaluator : public BatchGateEvaluator
 {
@@ -237,6 +290,12 @@ class DirectBatchEvaluator : public BatchGateEvaluator
                            std::span<const std::size_t> rows,
                            std::size_t slot_base,
                            tensor::Matrix &preact) override;
+
+    void evaluatePhase(const GateInstance &cell,
+                       std::span<const GateCall> gates,
+                       std::span<const std::size_t> rows,
+                       std::size_t slot_base,
+                       const EpilogueBody &epilogue) override;
 };
 
 } // namespace nlfm::nn

@@ -1,6 +1,7 @@
 #include "nn/gru_cell.hh"
 
 #include <cmath>
+#include <functional>
 
 #include "common/logging.hh"
 #include "nn/activations.hh"
@@ -39,50 +40,48 @@ GruCell::stepBatch(const tensor::Matrix &x, std::span<const std::size_t> rows,
                 "GRU stepBatch: state shape mismatch");
     nlfm_assert(instances_.size() == 3, "cell instances not assigned");
 
-    eval.evaluateGateBatch(instances_[GruUpdate], gates_[GruUpdate], x,
-                           state.h, rows, slot_base,
-                           state.preact[GruUpdate]);
-    eval.evaluateGateBatch(instances_[GruReset], gates_[GruReset], x,
-                           state.h, rows, slot_base, state.preact[GruReset]);
-
-    // r_t gates the recurrent input of the candidate, per live row.
-    // Both elementwise loops update only their range's columns,
-    // whichever thread runs it.
-    eval.forEachCellRange(
-        instances_[GruReset], rows.size(),
-        [&](std::size_t, std::size_t begin, std::size_t end) {
-            for (const std::size_t b : rows) {
-                const auto pre_r = state.preact[GruReset].row(b);
-                const auto h_row = state.h.row(b);
-                const auto reset_row = state.scratch.row(b);
-                for (std::size_t n = begin; n < end; ++n) {
-                    const float r_t =
-                        sigmoid(pre_r[n] + gates_[GruReset].bias[n]);
-                    reset_row[n] = r_t * h_row[n];
-                }
+    // Phase 1: z_t and r_t, then r_t gates the recurrent input of the
+    // candidate, per live row. Phase 2: the candidate, then the state
+    // update. Each epilogue updates only its range's columns, of a
+    // panel that no gate of its phase reads.
+    const auto modulate = [&](std::size_t begin, std::size_t end) {
+        for (const std::size_t b : rows) {
+            const auto pre_r = state.preact[GruReset].row(b);
+            const auto h_row = state.h.row(b);
+            const auto reset_row = state.scratch.row(b);
+            for (std::size_t n = begin; n < end; ++n) {
+                const float r_t =
+                    sigmoid(pre_r[n] + gates_[GruReset].bias[n]);
+                reset_row[n] = r_t * h_row[n];
             }
-        });
+        }
+    };
+    const GateCall update_reset[] = {
+        {instances_[GruUpdate], gates_[GruUpdate], x, state.h,
+         state.preact[GruUpdate]},
+        {instances_[GruReset], gates_[GruReset], x, state.h,
+         state.preact[GruReset]}};
+    eval.evaluatePhase(instances_[GruReset], update_reset, rows, slot_base,
+                       std::cref(modulate));
 
-    eval.evaluateGateBatch(instances_[GruCandidate], gates_[GruCandidate],
-                           x, state.scratch, rows, slot_base,
-                           state.preact[GruCandidate]);
-
-    eval.forEachCellRange(
-        instances_[GruCandidate], rows.size(),
-        [&](std::size_t, std::size_t begin, std::size_t end) {
-            for (const std::size_t b : rows) {
-                const auto pre_z = state.preact[GruUpdate].row(b);
-                const auto pre_g = state.preact[GruCandidate].row(b);
-                const auto h_row = state.h.row(b);
-                for (std::size_t n = begin; n < end; ++n) {
-                    const float z_t =
-                        sigmoid(pre_z[n] + gates_[GruUpdate].bias[n]);
-                    const float g_t = tanhAct(pre_g[n] +
-                                              gates_[GruCandidate].bias[n]);
-                    h_row[n] = std::fma(1.f - z_t, h_row[n], z_t * g_t);
-                }
+    const auto update = [&](std::size_t begin, std::size_t end) {
+        for (const std::size_t b : rows) {
+            const auto pre_z = state.preact[GruUpdate].row(b);
+            const auto pre_g = state.preact[GruCandidate].row(b);
+            const auto h_row = state.h.row(b);
+            for (std::size_t n = begin; n < end; ++n) {
+                const float z_t =
+                    sigmoid(pre_z[n] + gates_[GruUpdate].bias[n]);
+                const float g_t =
+                    tanhAct(pre_g[n] + gates_[GruCandidate].bias[n]);
+                h_row[n] = std::fma(1.f - z_t, h_row[n], z_t * g_t);
             }
-        });
+        }
+    };
+    const GateCall candidate{instances_[GruCandidate], gates_[GruCandidate],
+                             x, state.scratch, state.preact[GruCandidate]};
+    eval.evaluatePhase(instances_[GruCandidate], {&candidate, 1}, rows,
+                       slot_base, std::cref(update));
 }
 
 } // namespace nlfm::nn

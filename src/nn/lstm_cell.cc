@@ -1,6 +1,7 @@
 #include "nn/lstm_cell.hh"
 
 #include <cmath>
+#include <functional>
 
 #include "common/logging.hh"
 #include "nn/activations.hh"
@@ -74,51 +75,58 @@ LstmCell::stepBatch(const tensor::Matrix &x,
                 "LSTM stepBatch: state shape mismatch");
     nlfm_assert(instances_.size() == 4, "cell instances not assigned");
 
-    for (std::size_t g = 0; g < 4; ++g)
-        eval.evaluateGateBatch(instances_[g], gates_[g], x, state.h, rows,
-                               slot_base, state.preact[g]);
+    // Phase 1: the four gates. Phase 2: the elementwise update per live
+    // row (Eqs. 1-6), which writes h, so it cannot share the gates'
+    // phase; each range of neurons updates only its own columns.
+    const GateCall gate_calls[] = {
+        {instances_[LstmInput], gates_[LstmInput], x, state.h,
+         state.preact[LstmInput]},
+        {instances_[LstmForget], gates_[LstmForget], x, state.h,
+         state.preact[LstmForget]},
+        {instances_[LstmUpdate], gates_[LstmUpdate], x, state.h,
+         state.preact[LstmUpdate]},
+        {instances_[LstmOutput], gates_[LstmOutput], x, state.h,
+         state.preact[LstmOutput]}};
+    eval.evaluatePhase(instances_[LstmInput], gate_calls, rows, slot_base,
+                       {});
 
-    // Elementwise update per live row (Eqs. 1-6). Each range of neurons
-    // updates only its own columns, whichever thread runs it.
-    eval.forEachCellRange(
-        instances_[LstmInput], rows.size(),
-        [&](std::size_t, std::size_t begin, std::size_t end) {
-            for (const std::size_t b : rows) {
-                const auto pre_i = state.preact[LstmInput].row(b);
-                const auto pre_f = state.preact[LstmForget].row(b);
-                const auto pre_g = state.preact[LstmUpdate].row(b);
-                const auto pre_o = state.preact[LstmOutput].row(b);
-                const auto h_row = state.h.row(b);
-                const auto c_row = state.extra[0].row(b);
-                for (std::size_t n = begin; n < end; ++n) {
-                    const float c_prev = c_row[n];
+    const auto update = [&](std::size_t begin, std::size_t end) {
+        for (const std::size_t b : rows) {
+            const auto pre_i = state.preact[LstmInput].row(b);
+            const auto pre_f = state.preact[LstmForget].row(b);
+            const auto pre_g = state.preact[LstmUpdate].row(b);
+            const auto pre_o = state.preact[LstmOutput].row(b);
+            const auto h_row = state.h.row(b);
+            const auto c_row = state.extra[0].row(b);
+            for (std::size_t n = begin; n < end; ++n) {
+                const float c_prev = c_row[n];
 
-                    float zi = pre_i[n] + gates_[LstmInput].bias[n];
-                    float zf = pre_f[n] + gates_[LstmForget].bias[n];
-                    if (peepholes_) {
-                        zi = std::fma(gates_[LstmInput].peephole[n], c_prev,
-                                      zi);
-                        zf = std::fma(gates_[LstmForget].peephole[n], c_prev,
-                                      zf);
-                    }
-                    const float i_t = sigmoid(zi);
-                    const float f_t = sigmoid(zf);
-                    const float g_t =
-                        tanhAct(pre_g[n] + gates_[LstmUpdate].bias[n]);
-
-                    const float c_t = std::fma(f_t, c_prev, i_t * g_t);
-
-                    float zo = pre_o[n] + gates_[LstmOutput].bias[n];
-                    if (peepholes_)
-                        zo = std::fma(gates_[LstmOutput].peephole[n], c_t,
-                                      zo);
-                    const float o_t = sigmoid(zo);
-
-                    c_row[n] = c_t;
-                    h_row[n] = o_t * tanhAct(c_t);
+                float zi = pre_i[n] + gates_[LstmInput].bias[n];
+                float zf = pre_f[n] + gates_[LstmForget].bias[n];
+                if (peepholes_) {
+                    zi = std::fma(gates_[LstmInput].peephole[n], c_prev, zi);
+                    zf = std::fma(gates_[LstmForget].peephole[n], c_prev,
+                                  zf);
                 }
+                const float i_t = sigmoid(zi);
+                const float f_t = sigmoid(zf);
+                const float g_t =
+                    tanhAct(pre_g[n] + gates_[LstmUpdate].bias[n]);
+
+                const float c_t = std::fma(f_t, c_prev, i_t * g_t);
+
+                float zo = pre_o[n] + gates_[LstmOutput].bias[n];
+                if (peepholes_)
+                    zo = std::fma(gates_[LstmOutput].peephole[n], c_t, zo);
+                const float o_t = sigmoid(zo);
+
+                c_row[n] = c_t;
+                h_row[n] = o_t * tanhAct(c_t);
             }
-        });
+        }
+    };
+    eval.evaluatePhase(instances_[LstmInput], {}, rows, slot_base,
+                       std::cref(update));
 }
 
 } // namespace nlfm::nn

@@ -57,11 +57,13 @@ class RnnCell
      * A row's update reads only that row, so each sequence evolves
      * bitwise alike in a panel of one or of many. Multiply-adds are
      * written as std::fma, so every build rounds them alike, whatever
-     * it would contract (tests/reference pins the rounding). Every
-     * elementwise loop runs through
-     * eval.forEachCellRange with one of the cell's gate instances, so
-     * in the one-chunk schedule it splits over the pool with the gate
-     * calls around it; a range reads and writes only its own columns.
+     * it would contract (tests/reference pins the rounding). The step
+     * is a few dependency phases, each handed to
+     * eval.evaluatePhase: a group of gate calls plus the elementwise
+     * loop that consumes them, so in the one-chunk schedule each phase
+     * is one pool job. A loop reads and writes only its own columns,
+     * and writes no panel that a gate of its phase reads (a loop that
+     * writes h takes a phase of its own after the gates that read h).
      */
     virtual void stepBatch(const tensor::Matrix &x,
                            std::span<const std::size_t> rows,

@@ -1,6 +1,7 @@
 #include "nn/rate_rnn_cell.hh"
 
 #include <cmath>
+#include <functional>
 
 #include "common/logging.hh"
 #include "nn/activations.hh"
@@ -52,24 +53,26 @@ RateRnnCell::stepBatch(const tensor::Matrix &x,
     nlfm_assert(instances_.size() == 1, "cell instances not assigned");
 
     const auto &gate = gates_[RateDrive];
-    eval.evaluateGateBatch(instances_[RateDrive], gate, x, state.h, rows,
-                           slot_base, state.preact[RateDrive]);
-
-    // Leak update per live row; each range of neurons updates only its
-    // own columns.
-    eval.forEachCellRange(
-        instances_[RateDrive], rows.size(),
-        [&](std::size_t, std::size_t begin, std::size_t end) {
-            for (const std::size_t b : rows) {
-                const auto pre = state.preact[RateDrive].row(b);
-                const auto h_row = state.h.row(b);
-                for (std::size_t n = begin; n < end; ++n) {
-                    const float d_t = tanhAct(pre[n] + gate.bias[n]);
-                    const float a = gate.peephole[n];
-                    h_row[n] = std::fma(1.f - a, h_row[n], a * d_t);
-                }
+    // Phase 1: the drive gate. Phase 2: the leak update per live row,
+    // which writes h, so it cannot share the gate's phase; each range
+    // of neurons updates only its own columns.
+    const GateCall drive{instances_[RateDrive], gate, x, state.h,
+                         state.preact[RateDrive]};
+    eval.evaluatePhase(instances_[RateDrive], {&drive, 1}, rows, slot_base,
+                       {});
+    const auto leak = [&](std::size_t begin, std::size_t end) {
+        for (const std::size_t b : rows) {
+            const auto pre = state.preact[RateDrive].row(b);
+            const auto h_row = state.h.row(b);
+            for (std::size_t n = begin; n < end; ++n) {
+                const float d_t = tanhAct(pre[n] + gate.bias[n]);
+                const float a = gate.peephole[n];
+                h_row[n] = std::fma(1.f - a, h_row[n], a * d_t);
             }
-        });
+        }
+    };
+    eval.evaluatePhase(instances_[RateDrive], {}, rows, slot_base,
+                       std::cref(leak));
 }
 
 } // namespace nlfm::nn

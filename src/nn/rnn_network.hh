@@ -39,9 +39,10 @@ struct BatchForwardOptions
      * element (valid_, 1 byte): combined with the table's cache-line-
      * padded slot stride, concurrent chunk workers never write the same
      * line of memo state. A batch of one chunk (at the default, up to
-     * 64 sequences) splits its gate calls' neurons over the pool
-     * instead, so it still uses every thread without putting two chunks
-     * on one valid_ line. Outputs are identical for every chunk size.
+     * 64 sequences) splits each phase of a cell step by neurons over
+     * the pool instead, so it still uses every thread without putting
+     * two chunks on one valid_ line. Outputs are identical for every
+     * chunk size.
      */
     std::size_t chunkSize = 64;
     /**
@@ -112,15 +113,17 @@ class RnnNetwork
      *
      * Schedule: with two or more chunks, the chunks run in parallel on
      * the pool. A one-chunk batch runs on the calling thread, and each
-     * gate call may split its neurons over the pool
-     * (BatchGateEvaluator::forEachNeuronRange). Batches of 2 to
+     * phase of a cell step (a group of gate calls plus the loop that
+     * consumes them) may split its neurons over the pool as one job
+     * (BatchGateEvaluator::evaluatePhase). Batches of 2 to
      * threads - 1 chunks stay chunk-parallel, because the split has not
      * been measured against it there.
      *
      * Pool contract: with options.threaded and a pool of two or more
      * threads, a call takes the pool's single job slot even for a
-     * one-chunk batch (a gate call of two or more kNeuronBlock blocks
-     * and at least kMinSplitWork multiply-adds splits). So it must not
+     * one-chunk batch (a phase whose gate calls have two or more
+     * kNeuronBlock blocks and at least kMinSplitWork multiply-adds
+     * splits). So it must not
      * run inside a job of the same pool, nor concurrently with another
      * run on it: ThreadPool::run asserts against both. Callers that are
      * themselves pool jobs pass a different pool or threaded = false.

@@ -11,12 +11,19 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
+
+#include "common/aligned.hh"
 
 namespace nlfm::tensor
 {
 
-/** Dense row-major float matrix. */
+/**
+ * Dense row-major float matrix. Its floats start on a cache line, so a
+ * run of 16 columns that starts on a multiple of 16 in a row whose
+ * width is a multiple of 16 (a 32-neuron block of an 800-wide panel)
+ * holds whole lines: threads writing disjoint such runs of one panel
+ * never share a line.
+ */
 class Matrix
 {
   public:
@@ -86,7 +93,7 @@ class Matrix
   private:
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;
-    std::vector<float> data_;
+    CacheAlignedVector<float> data_;
 };
 
 /**

@@ -215,8 +215,9 @@ struct MemoCase
 {
     const char *name;
     memo::PredictorKind predictor;
-    /// Throttling: on selects the AVX-512 decide and masked commit
-    /// (where the host has them), off the scalar loop.
+    /// Throttling: on selects the AVX-512 decide (where the host has
+    /// it), off the scalar decide; either way the gate loop commits
+    /// the misses of each group of one or four neurons.
     bool throttle;
     double theta;
 };
@@ -224,12 +225,12 @@ struct MemoCase
 /**
  * The throttled BNN cases decide through the vector path, so
  * where the host has the wide kernel, panels of more than 8 live slots
- * decide their neurons in groups of four before committing them (the
- * per-neuron flow takes smaller panels). At theta 0.2 nearly every slot
- * misses and every group takes one grouped call. At theta 2 about half
- * the neuron-steps reuse: the misses are sparse and partly overlap, and
- * about a quarter of the groups take the grouped call over a union
- * panel, the rest the per-neuron path.
+ * decide their neurons in groups of four before committing them
+ * (smaller panels run groups of one). At theta 0.2 nearly every slot
+ * misses and every group of four takes one grouped call. At theta 2
+ * about half the neuron-steps reuse: the misses are sparse and partly
+ * overlap, and about a quarter of the groups of four take the grouped
+ * call over a union panel, the rest commit each neuron on its own.
  */
 constexpr MemoCase kMemoCases[] = {
     {"oracle", memo::PredictorKind::Oracle, true, 0.1},

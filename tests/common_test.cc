@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -525,6 +528,55 @@ TEST(ParallelTest, PoolRunsTheNextJobAfterAThrow)
     });
     for (auto &h : hits)
         EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelTest, ChunkRunsOnTheSamePoolThreadOnEveryJob)
+{
+    // The neuron split hands range r to chunk r, so a range's home share
+    // of neurons stays on one core only if chunk r always runs on pool
+    // thread r, chunk 0 on the caller.
+    ThreadPool pool(4);
+    constexpr std::size_t kJobs = 200;
+    std::vector<std::array<std::thread::id, 4>> owner(kJobs);
+    for (std::size_t job = 0; job < kJobs; ++job)
+        pool.run(4, [&](std::size_t begin, std::size_t end) {
+            for (std::size_t chunk = begin; chunk < end; ++chunk)
+                owner[job][chunk] = std::this_thread::get_id();
+        });
+    EXPECT_EQ(owner[0][0], std::this_thread::get_id());
+    EXPECT_EQ(std::set<std::thread::id>(owner[0].begin(), owner[0].end())
+                  .size(),
+              4u);
+    for (std::size_t job = 1; job < kJobs; ++job)
+        EXPECT_EQ(owner[job], owner[0]) << "job " << job;
+}
+
+TEST(ParallelTest, JobWithFewerChunksThanThreadsLeavesSpareWorkersIdle)
+{
+    ThreadPool pool(4);
+    const auto record = [&](std::size_t chunks) {
+        std::vector<std::thread::id> ran;
+        std::mutex mutex;
+        pool.run(chunks, [&](std::size_t begin, std::size_t end) {
+            std::lock_guard<std::mutex> lock(mutex);
+            for (std::size_t chunk = begin; chunk < end; ++chunk) {
+                ran.resize(std::max(ran.size(), chunk + 1));
+                ran[chunk] = std::this_thread::get_id();
+            }
+        });
+        return ran;
+    };
+    const std::vector<std::thread::id> owner = record(4);
+    ASSERT_EQ(owner.size(), 4u);
+    // Two chunks run on pool threads 0 and 1 only, job after job, while
+    // threads 2 and 3 skip each job they have no chunk in.
+    for (std::size_t job = 0; job < 50; ++job)
+        EXPECT_EQ(record(2), std::vector<std::thread::id>(owner.begin(),
+                                                           owner.begin() + 2))
+            << "job " << job;
+    // Having skipped those jobs, the spare workers take their chunks of
+    // the next full one.
+    EXPECT_EQ(record(4), owner);
 }
 
 } // namespace

@@ -9,11 +9,13 @@
 
 #include <cmath>
 
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "epur/area_model.hh"
 #include "epur/report.hh"
 #include "epur/simulator.hh"
 #include "memo/memo_engine.hh"
+#include "nn/cell_descriptor.hh"
 #include "nn/init.hh"
 
 namespace nlfm::epur
@@ -349,6 +351,71 @@ TEST(EpurTraceTest, ClosedBatchTracesMatchOneSequenceRuns)
         EXPECT_EQ(actual.energy.operationsJ, expected.energy.operationsJ);
         EXPECT_EQ(actual.energy.dramJ, expected.energy.dramJ);
         EXPECT_EQ(actual.energy.fmuJ, expected.energy.fmuJ);
+    }
+}
+
+TEST(EpurTraceTest, SplitPhaseTracesMatchOneSequenceRuns)
+{
+    // One-chunk batches whose gate calls reach nn::kMinSplitWork run
+    // each phase of a cell step (its gates, then the cell's loop) as one
+    // job on the pool, and join every gate's per-range reuse counts
+    // after it. Each slot's trace must equal the one its sequence
+    // records on its own, where nothing splits. Ragged lengths shrink
+    // the live panel below the split floor near the end.
+    for (const nn::CellType cell : {nn::CellType::Gru, nn::CellType::Lstm}) {
+        nn::RnnConfig config;
+        config.cellType = cell;
+        config.inputSize = 32;
+        config.hiddenSize = 160;
+        config.layers = 2;
+        nn::RnnNetwork network(config);
+        Rng rng(47);
+        nn::InitOptions init;
+        init.magnitudeDispersion = 0.4;
+        nn::initNetwork(network, rng, init);
+        nn::BinarizedNetwork bnn(network);
+
+        constexpr std::size_t kSequences = 12;
+        ASSERT_GE(config.hiddenSize *
+                      (config.inputSize + config.hiddenSize) * kSequences,
+                  nn::kMinSplitWork);
+        // ... and a one-sequence run of either layer stays below it.
+        ASSERT_LT(config.hiddenSize *
+                      (config.hiddenSize + config.hiddenSize),
+                  nn::kMinSplitWork);
+        std::vector<nn::Sequence> inputs;
+        for (std::size_t i = 0; i < kSequences; ++i) {
+            nn::Sequence sequence(6 + 2 * (i % 4),
+                                  std::vector<float>(config.inputSize));
+            for (auto &frame : sequence)
+                rng.fillNormal(frame, 0.0, 1.0);
+            inputs.push_back(std::move(sequence));
+        }
+
+        memo::MemoOptions options;
+        options.theta = 0.3;
+        options.recordTrace = true;
+        memo::MemoEngine one(network, &bnn, options);
+        for (const nn::Sequence &input : inputs)
+            network.forward(input, one);
+        ASSERT_EQ(one.traces().size(), inputs.size());
+
+        ThreadPool pool(4);
+        nn::BatchForwardOptions forward;
+        forward.pool = &pool;
+        memo::BatchMemoEngine batch(network, &bnn, options);
+        network.forwardBatch(inputs, batch, forward);
+        ASSERT_EQ(batch.traces().size(), inputs.size());
+        for (std::size_t s = 0; s < inputs.size(); ++s) {
+            const auto &want = one.traces()[s].gates;
+            const auto &got = batch.traces()[s].gates;
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t g = 0; g < want.size(); ++g)
+                EXPECT_EQ(got[g].misses, want[g].misses)
+                    << nn::cellTypeName(cell) << " slot " << s << " gate "
+                    << g;
+            EXPECT_EQ(batch.traces()[s].steps(), inputs[s].size());
+        }
     }
 }
 
