@@ -1,7 +1,6 @@
 #include "memo/memo_batch.hh"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <limits>
 
@@ -117,19 +116,14 @@ struct PhaseScratch
 struct alignas(kCacheLineBytes) RangeScratch
 {
     std::vector<std::int32_t> ybPanel; ///< yb_t, probe block x slots
-    // Each neuron of a group's missing slots, as indices and (from the
-    // vector decide only) as 8-slot bit blocks: neuron k's at k * slots
-    // and k * ceil(slots / 8).
+    /// Each neuron of a group's missing slots: neuron k's at k * slots.
     std::vector<std::uint32_t> miss;
-    std::vector<std::uint8_t> missBlocks;
-    // The evaluated panel's input rows and dots (neuron-major after a
-    // grouped call), and each slot's column in a grouped call's union
-    // panel.
+    // A neuron's compacted missing rows, and the evaluated dots
+    // (neuron-major after a grouped call).
     std::vector<const float *> panelX;
     std::vector<const float *> panelH;
     std::vector<float> forward;
     std::vector<float> recurrent;
-    std::vector<std::uint32_t> column;
     /// Reused neurons per gate of the phase and live slot: gate g's at
     /// g * slots.
     std::vector<std::uint64_t> hits;
@@ -146,12 +140,10 @@ struct alignas(kCacheLineBytes) RangeScratch
     {
         ybPanel.resize(kProbeNeuronBlock * slots);
         miss.resize(tensor::kGroupNeurons * slots);
-        missBlocks.resize(tensor::kGroupNeurons * ((slots + 7) / 8));
         panelX.resize(slots);
         panelH.resize(slots);
         forward.resize(tensor::kGroupNeurons * slots);
         recurrent.resize(tensor::kGroupNeurons * slots);
-        column.resize(slots);
         hits.assign(gates * slots, 0);
         probeNs = 0;
         decideNs = 0;
@@ -199,71 +191,6 @@ struct TableRow
     float *y;
 };
 
-/** Bit j: slot 8b + j is missing for some neuron of the group. */
-unsigned
-unionBlock(const RangeScratch &s, std::size_t blocks, std::size_t b)
-{
-    unsigned bits = 0;
-    for (std::size_t k = 0; k < tensor::kGroupNeurons; ++k)
-        bits |= s.missBlocks[k * blocks + b];
-    return bits;
-}
-
-/**
- * The grouped commit's rule, for a whole group of neurons decided by
- * the vector decide (so each neuron's miss bit blocks are set), where
- * dotLanesGroup is the wide kernel: one dotLanesGroup call per weight
- * matrix over the union of their missing slots pays when it issues
- * fewer FMA instructions than a per-neuron call per neuron. Per
- * 8-column block, that is two 512-bit FMAs per union slot against one
- * 256-bit FMA per missing (neuron, slot): neuron k's @p miss_count[k],
- * @p misses in all.
- *
- * @return the union's size when the grouped call pays, else 0
- */
-std::size_t
-groupUnion(const RangeScratch &s, std::size_t slots,
-           std::span<const std::size_t, tensor::kGroupNeurons> miss_count,
-           std::size_t misses)
-{
-    // The union holds at least the widest neuron's misses, so most
-    // groups that cannot pay are known without counting it.
-    const std::size_t widest =
-        *std::max_element(miss_count.begin(), miss_count.end());
-    if (2 * widest >= misses)
-        return 0;
-    const std::size_t blocks = (slots + 7) / 8;
-    std::size_t panel = 0;
-    for (std::size_t b = 0; b < blocks; ++b)
-        panel +=
-            static_cast<std::size_t>(std::popcount(unionBlock(s, blocks, b)));
-    return 2 * panel < misses ? panel : 0;
-}
-
-/**
- * A group's union panel: its missing slots, ascending, as the input
- * rows s.panelX / s.panelH, and each one's position in it as
- * s.column[slot].
- */
-void
-buildUnionPanel(RangeScratch &s, std::size_t slots,
-                std::span<const float *const> x_rows,
-                std::span<const float *const> h_rows)
-{
-    const std::size_t blocks = (slots + 7) / 8;
-    std::size_t panel = 0;
-    for (std::size_t b = 0; b < blocks; ++b)
-        for (unsigned bits = unionBlock(s, blocks, b); bits != 0;
-             bits &= bits - 1) {
-            const std::size_t i =
-                8 * b + static_cast<std::size_t>(std::countr_zero(bits));
-            s.column[i] = static_cast<std::uint32_t>(panel);
-            s.panelX[panel] = x_rows[i];
-            s.panelH[panel] = h_rows[i];
-            ++panel;
-        }
-}
-
 #if defined(__x86_64__)
 
 /**
@@ -293,8 +220,7 @@ decideRowAvx512(const std::int32_t *yb_row, std::size_t slots,
                 const std::uint8_t *valid_row, std::int64_t *draw_row,
                 const float *y_row, std::uint64_t *hits,
                 float *const *out_rows, std::size_t n,
-                std::int64_t theta_raw, Q16 theta_q, std::uint32_t *miss,
-                std::uint8_t *miss_blocks)
+                std::int64_t theta_raw, Q16 theta_q, std::uint32_t *miss)
 {
     std::size_t miss_count = 0;
     const __m512i theta1 = _mm512_set1_epi64(theta_raw + 1);
@@ -336,7 +262,6 @@ decideRowAvx512(const std::int32_t *yb_row, std::size_t slots,
                                ((nonzero & lt) | (~nonzero & zero_reuse));
         const __mmask16 miss_m =
             static_cast<__mmask16>(~reuse & 0xffu);
-        miss_blocks[i / 8] = static_cast<std::uint8_t>(miss_m);
 
         _mm512_mask_compressstoreu_epi32(
             miss + miss_count, miss_m,
@@ -362,8 +287,6 @@ decideRowAvx512(const std::int32_t *yb_row, std::size_t slots,
     }
 
     // Scalar tail (slots % 8) through the shared decision kernel.
-    if (i < slots)
-        miss_blocks[i / 8] = 0;
     for (; i < slots; ++i) {
         const std::size_t e = e0 + i;
         const BnnDecision decision = bnnReuseDecision(
@@ -375,7 +298,6 @@ decideRowAvx512(const std::int32_t *yb_row, std::size_t slots,
             ++hits[i];
         } else {
             miss[miss_count++] = static_cast<std::uint32_t>(i);
-            miss_blocks[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
         }
     }
     return miss_count;
@@ -423,19 +345,18 @@ decideRow(const std::int32_t *yb_row,
 
 /**
  * Commit neuron n's missing slots (Eqs. 15-17): emit y_t = forward +
- * recurrent and refresh the whole entry. Miss m's dots sit at
- * column[miss[m]], or at m where @p column is null.
+ * recurrent and refresh the whole entry. Miss m's dots sit at its live
+ * slot miss[m] when they span the @p whole_panel, else at m.
  */
 __attribute__((always_inline)) inline void
 commitMisses(const GateRows &gate, const std::uint32_t *slot_entry,
              std::size_t n, const TableRow &row, const std::int32_t *yb_row,
              const std::uint32_t *miss, std::size_t miss_count,
-             const float *forward, const float *recurrent,
-             const std::uint32_t *column)
+             const float *forward, const float *recurrent, bool whole_panel)
 {
     for (std::size_t m = 0; m < miss_count; ++m) {
         const std::size_t i = miss[m];
-        const std::size_t d = column != nullptr ? column[i] : m;
+        const std::size_t d = whole_panel ? i : m;
         const std::uint32_t e = slot_entry[i];
         const float y_t = forward[d] + recurrent[d];
         gate.outRows[i][n] = y_t;
@@ -478,7 +399,7 @@ commitNeuron(const GateRows &gate, const std::uint32_t *slot_entry,
                              recurrent);
     }
     commitMisses(gate, slot_entry, n, row, yb_row, miss, miss_count,
-                 forward.data(), recurrent.data(), nullptr);
+                 forward.data(), recurrent.data(), false);
 }
 
 } // namespace
@@ -936,9 +857,7 @@ BatchMemoEngine::evaluateBnnPhase(const nn::GateInstance &cell,
                                     slot_entry[0], row.bnn, row.valid,
                                     row.draw, row.y, gate_hits, out_rows, n,
                                     panel_theta_raw,
-                                    Q16::fromRaw(panel_theta_raw), miss,
-                                    s.missBlocks.data() +
-                                        k * ((slots + 7) / 8));
+                                    Q16::fromRaw(panel_theta_raw), miss);
                             else
 #endif
                                 miss_count[k] = decideRow(
@@ -956,32 +875,30 @@ BatchMemoEngine::evaluateBnnPhase(const nn::GateInstance &cell,
                             continue;
 
                         // A whole group of four makes one dotLanesGroup
-                        // call per weight matrix where it pays, its dots
-                        // neuron-major and each neuron's indexed by
-                        // s.column; else each neuron is evaluated on its
+                        // call per weight matrix over the live panel
+                        // where that issues fewer FMA instructions than
+                        // a per-neuron call per neuron: per 8-column
+                        // block, two 512-bit FMAs per live slot against
+                        // one 256-bit FMA per missing (neuron, slot). Its
+                        // dots are neuron-major, each neuron's indexed by
+                        // live slot. Else each neuron is evaluated on its
                         // own.
-                        std::size_t panel = 0;
+                        bool grouped = false;
                         if constexpr (kGroup == tensor::kGroupNeurons) {
-                            if (group == kGroup)
-                                panel =
-                                    groupUnion(s, slots, miss_count, misses);
-                            if (panel != 0) {
-                                buildUnionPanel(s, slots, gate.xRows,
-                                                gate.hRows);
+                            grouped = group == kGroup && 2 * slots < misses;
+                            if (grouped) {
                                 const float *wx[kGroup];
                                 const float *wh[kGroup];
                                 for (std::size_t k = 0; k < kGroup; ++k) {
                                     wx[k] = params.wx.row(n0 + g + k).data();
                                     wh[k] = params.wh.row(n0 + g + k).data();
                                 }
-                                const std::size_t dots = kGroup * panel;
+                                const std::size_t dots = kGroup * slots;
                                 tensor::dotLanesGroup(
-                                    wx, instance.xSize,
-                                    {s.panelX.data(), panel},
+                                    wx, instance.xSize, gate.xRows,
                                     {s.forward.data(), dots});
                                 tensor::dotLanesGroup(
-                                    wh, instance.hSize,
-                                    {s.panelH.data(), panel},
+                                    wh, instance.hSize, gate.hRows,
                                     {s.recurrent.data(), dots});
                             }
                         }
@@ -992,17 +909,17 @@ BatchMemoEngine::evaluateBnnPhase(const nn::GateInstance &cell,
                             const std::int32_t *yb_row = yb_rows + k * slots;
                             const std::uint32_t *miss =
                                 s.miss.data() + k * slots;
-                            if (panel == 0)
-                                commitNeuron(gate, slot_entry.data(), params,
-                                             n, table_row(n), yb_row, miss,
-                                             miss_count[k], s);
-                            else
+                            if (grouped)
                                 commitMisses(gate, slot_entry.data(), n,
                                              table_row(n), yb_row, miss,
                                              miss_count[k],
-                                             s.forward.data() + k * panel,
-                                             s.recurrent.data() + k * panel,
-                                             s.column.data());
+                                             s.forward.data() + k * slots,
+                                             s.recurrent.data() + k * slots,
+                                             true);
+                            else
+                                commitNeuron(gate, slot_entry.data(), params,
+                                             n, table_row(n), yb_row, miss,
+                                             miss_count[k], s);
                         }
                         if (timed)
                             s.commitNs += nowNs() - t_mark;
@@ -1012,19 +929,24 @@ BatchMemoEngine::evaluateBnnPhase(const nn::GateInstance &cell,
         });
     };
 
-    // Groups of four (the grouped commit, groupUnion) on vector-decide
-    // panels of more than one 8-slot row block where dotLanesGroup is
-    // the wide kernel; groups of one elsewhere. On a panel of at most 8
-    // live slots -- every serving panel of an 8-slot server -- one
-    // weight stream per matrix covers a neuron's misses, its few
-    // independent FMA chains leave the FMA ports idle and overlap with
-    // the next neuron's, so halving the FMA count saves little, and
-    // deciding four first costs more. In an in-process A/B against
-    // groups of one (Sapphire Rapids VM), groups of four ran an IMDB
-    // step with 1-8 live slots up to 6 % slower at theta 0.51-1.0 and
-    // BRC's up to 8 % slower at 0.8, although 37-87 % of their groups
-    // passed the FMA rule; with 16 slots IMDB and BRC moved by -5 to
-    // +2 %, and DeepSpeech2 took 0.71-0.74x the time.
+    // Groups of four (the grouped commit) on vector-decide panels of
+    // more than one 8-slot row block where dotLanesGroup is the wide
+    // kernel; groups of one elsewhere. The grouped commit needs neither
+    // of the first two conditions, but each moves step times, in
+    // opposite directions by case (in-process A/Bs of groups of four
+    // where this rule runs groups of one, 4-vCPU AVX-512 Xeon VM):
+    // - slots > 8: on a panel of at most 8 live slots -- every serving
+    //   panel of an 8-slot server -- one weight stream per matrix
+    //   covers a neuron's misses and its few FMA chains overlap with
+    //   the next neuron's, so deciding four first costs about what the
+    //   halved FMA count saves. High-reuse 8-slot steps read 1.01-1.02x
+    //   (IMDB at theta 1.0, RateRNN at 0.8) and 1.00x (BRC at 0.8); only
+    //   RateRNN at 0.016, where nearly every neuron misses, gains
+    //   (0.82-0.84x).
+    // - vector_decide: the scalar decide runs ragged and mixed-theta
+    //   panels. There groups of four read 0.87x on a ragged 16-sequence
+    //   DeepSpeech2 batch and 0.95x on a 16-slot RateRNN panel at thetas
+    //   0.016/0.8, but 1.02x on a 16-slot IMDB panel at 0.51/1.0.
     if (vector_decide && slots > 8 && tensor::dotLanesGroupIsWide())
         run(std::integral_constant<std::size_t, tensor::kGroupNeurons>{});
     else

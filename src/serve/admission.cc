@@ -142,10 +142,17 @@ Admission::submit(std::size_t model, Request request)
     // request fails its own future instead of reaching the driver (an
     // assert there would take down every in-flight request). A NaN or
     // inf frame would flow into the memo comparisons and the cached
-    // outputs of its slot.
-    for (std::size_t t = 0; t < item.request.input.size(); ++t) {
+    // outputs of its slot. A NaN theta or deadline fails every
+    // comparison, so it would be served at the model default and never
+    // shed, yet counted as a missed deadline.
+    std::string error;
+    if (std::isnan(item.request.theta))
+        error = "request theta is NaN";
+    else if (std::isnan(item.request.deadlineMs))
+        error = "request deadlineMs is NaN";
+    for (std::size_t t = 0; error.empty() && t < item.request.input.size();
+         ++t) {
         const auto &frame = item.request.input[t];
-        std::string error;
         if (frame.size() != info.inputWidth)
             error = "request frame width " + std::to_string(frame.size()) +
                     " != " + info.inputLabel + " " +
@@ -154,11 +161,11 @@ Admission::submit(std::size_t model, Request request)
                               [](float v) { return std::isfinite(v); }))
             error = "request frame " + std::to_string(t) +
                     " holds a NaN or infinite value";
-        if (!error.empty()) {
-            item.promise.set_exception(std::make_exception_ptr(
-                std::invalid_argument(kErrorPrefix + ": " + error)));
-            return future;
-        }
+    }
+    if (!error.empty()) {
+        item.promise.set_exception(std::make_exception_ptr(
+            std::invalid_argument(kErrorPrefix + ": " + error)));
+        return future;
     }
 
     submitted_.fetch_add(1);

@@ -57,15 +57,18 @@ struct Request
 
     /// Per-request reuse threshold (Eq. 14's theta). Negative means the
     /// server's default (ServerOptions::memo.theta). Ignored by exact
-    /// (non-memoized) servers.
+    /// (non-memoized) servers. NaN fails the request's future with
+    /// std::invalid_argument.
     double theta = -1.0;
 
     /// Latency budget in milliseconds, measured enqueue -> completion.
-    /// 0 means no deadline. By default the deadline only feeds the
-    /// goodput accounting (Response::deadlineMet) and orders nothing;
-    /// the opt-in admission policies (queuePolicy = Edf, shedExpired,
-    /// shedPredicted — see docs/SERVING.md "Admission policies") use it
-    /// for scheduling and shedding.
+    /// 0 (or less) means no deadline, and so does one too long for the
+    /// clock to represent (inf, 1e300); NaN fails the request's future
+    /// with std::invalid_argument. By default the deadline only feeds
+    /// the goodput accounting (Response::deadlineMet) and orders
+    /// nothing; the opt-in admission policies (queuePolicy = Edf,
+    /// shedExpired, shedPredicted — see docs/SERVING.md "Admission
+    /// policies") use it for scheduling and shedding.
     double deadlineMs = 0.0;
 
     /// Client-supplied session key for cross-request warm-start

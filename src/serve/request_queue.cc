@@ -8,12 +8,17 @@ namespace nlfm::serve
 Clock::time_point
 deadlineAt(const QueuedRequest &item)
 {
-    if (item.request.deadlineMs <= 0.0)
+    // Compared in double nanoseconds, so that any budget below the
+    // clock's headroom converts without overflow. One at or beyond it
+    // (inf, 1e300 ms) would overflow the clock's integer count, which
+    // is undefined: it is no deadline.
+    const std::chrono::duration<double, std::nano> budget =
+        std::chrono::duration<double, std::milli>(item.request.deadlineMs);
+    if (!(item.request.deadlineMs > 0.0) ||
+        budget >= Clock::time_point::max() - item.enqueueTime)
         return Clock::time_point::max();
     return item.enqueueTime +
-           std::chrono::duration_cast<Clock::duration>(
-               std::chrono::duration<double, std::milli>(
-                   item.request.deadlineMs));
+           std::chrono::duration_cast<Clock::duration>(budget);
 }
 
 RequestQueue::RequestQueue(std::size_t capacity, QueuePolicy policy)

@@ -48,7 +48,8 @@ enum class QueuePolicy
 };
 
 /// Absolute deadline of a queued request; time_point::max() when the
-/// request carries none (EDF sorts those last).
+/// request carries none, or one beyond the clock's range (EDF sorts
+/// those last).
 Clock::time_point deadlineAt(const QueuedRequest &item);
 
 /// Bounded multi-producer/multi-consumer queue with a pop policy.

@@ -29,6 +29,8 @@
 
 #include <chrono>
 #include <functional>
+#include <iterator>
+#include <limits>
 #include <thread>
 
 #include "common/rng.hh"
@@ -132,15 +134,18 @@ TEST(AdmissionQueueTest, EdfPopsEarliestDeadlineFreeRequestsStayFifo)
 {
     serve::RequestQueue queue(8, serve::QueuePolicy::Edf);
     const auto now = serve::Clock::now();
-    // id: 0 free, 1 @50ms, 2 @10ms, 3 free, 4 @30ms.
-    const double deadlines[] = {0.0, 50.0, 10.0, 0.0, 30.0};
-    for (std::size_t i = 0; i < 5; ++i)
+    // id: 0 free, 1 @50ms, 2 @10ms, 3 free, 4 @30ms, and 5 @inf and
+    // 6 @1e300ms, both beyond the clock's range and so deadline-free.
+    const double deadlines[] = {
+        0.0, 50.0, 10.0, 0.0, 30.0, std::numeric_limits<double>::infinity(),
+        1e300};
+    for (std::size_t i = 0; i < std::size(deadlines); ++i)
         ASSERT_TRUE(
             queue.tryPush(queuedItem(i, deadlines[i], i + 1, now)));
 
     // Deadlines ascending first, then the deadline-free tail in push
     // order.
-    const std::uint64_t expected[] = {2, 4, 1, 0, 3};
+    const std::uint64_t expected[] = {2, 4, 1, 0, 3, 5, 6};
     for (const std::uint64_t want : expected) {
         auto item = queue.tryPop();
         ASSERT_TRUE(item.has_value());

@@ -229,8 +229,8 @@ struct MemoCase
  * (smaller panels run groups of one). At theta 0.2 nearly every slot
  * misses and every group of four takes one grouped call. At theta 2
  * about half the neuron-steps reuse: the misses are sparse and partly
- * overlap, and about a quarter of the groups of four take the grouped
- * call over a union panel, the rest commit each neuron on its own.
+ * overlap, and about half of the groups of four take the grouped call
+ * over the live panel, the rest commit each neuron on its own.
  */
 constexpr MemoCase kMemoCases[] = {
     {"oracle", memo::PredictorKind::Oracle, true, 0.1},

@@ -377,46 +377,50 @@ TEST(MemoDecisionProperty, UniformNonDefaultThetaPanelIsIsaInvariant)
     nn::BinarizedNetwork bnn(network);
 
     // 64 slots: dense, a full cache line of valid_ bytes, several
-    // AVX-512 lanes worth of slots per decision row.
-    const auto sequences =
-        equalLengthSequences(64, 12, config.inputSize, 123);
+    // AVX-512 lanes worth of slots per decision row. 13 slots: a row
+    // tail, so groups of four commit over 8 + 5 live rows.
+    for (const std::size_t slots : {64u, 13u}) {
+        SCOPED_TRACE(std::to_string(slots) + " slots");
+        const auto sequences =
+            equalLengthSequences(slots, 12, config.inputSize, 123);
 
-    memo::MemoOptions options;
-    options.predictor = memo::PredictorKind::Bnn;
-    options.theta = 0.05; // engine default — NOT the serving value
-    const double served_theta = 0.2;
+        memo::MemoOptions options;
+        options.predictor = memo::PredictorKind::Bnn;
+        options.theta = 0.05; // engine default — NOT the serving value
+        const double served_theta = 0.2;
 
-    // Serial ground truth at the served theta.
-    memo::MemoOptions serial_options = options;
-    serial_options.theta = served_theta;
-    std::vector<nn::Sequence> reference;
-    std::uint64_t serial_reused = 0;
-    {
-        ASSERT_TRUE(tensor::bnnSetIsa(tensor::BnnIsa::Portable));
-        for (const auto &sequence : sequences) {
-            memo::MemoEngine serial(network, &bnn, serial_options);
-            reference.push_back(network.forward(sequence, serial));
-            serial_reused += serial.stats().totalReused();
+        // Serial ground truth at the served theta.
+        memo::MemoOptions serial_options = options;
+        serial_options.theta = served_theta;
+        std::vector<nn::Sequence> reference;
+        std::uint64_t serial_reused = 0;
+        {
+            ASSERT_TRUE(tensor::bnnSetIsa(tensor::BnnIsa::Portable));
+            for (const auto &sequence : sequences) {
+                memo::MemoEngine serial(network, &bnn, serial_options);
+                reference.push_back(network.forward(sequence, serial));
+                serial_reused += serial.stats().totalReused();
+            }
         }
-    }
 
-    for (const tensor::BnnIsa isa :
-         {tensor::BnnIsa::Portable, tensor::BnnIsa::Avx2,
-          tensor::BnnIsa::Avx512}) {
-        if (!tensor::bnnSetIsa(isa))
-            continue; // unsupported on this host
-        const auto [outputs, reused] =
-            servePanel(network, bnn, options, sequences, served_theta);
-        EXPECT_EQ(reused, serial_reused)
-            << "isa " << tensor::bnnIsaName(isa);
-        for (std::size_t s = 0; s < sequences.size(); ++s) {
-            ASSERT_EQ(outputs[s].size(), reference[s].size());
-            for (std::size_t t = 0; t < outputs[s].size(); ++t)
-                for (std::size_t i = 0; i < outputs[s][t].size(); ++i)
-                    ASSERT_EQ(outputs[s][t][i], reference[s][t][i])
-                        << "isa " << tensor::bnnIsaName(isa)
-                        << " slot " << s << " step " << t
-                        << " element " << i;
+        for (const tensor::BnnIsa isa :
+             {tensor::BnnIsa::Portable, tensor::BnnIsa::Avx2,
+              tensor::BnnIsa::Avx512}) {
+            if (!tensor::bnnSetIsa(isa))
+                continue; // unsupported on this host
+            const auto [outputs, reused] =
+                servePanel(network, bnn, options, sequences, served_theta);
+            EXPECT_EQ(reused, serial_reused)
+                << "isa " << tensor::bnnIsaName(isa);
+            for (std::size_t s = 0; s < sequences.size(); ++s) {
+                ASSERT_EQ(outputs[s].size(), reference[s].size());
+                for (std::size_t t = 0; t < outputs[s].size(); ++t)
+                    for (std::size_t i = 0; i < outputs[s][t].size(); ++i)
+                        ASSERT_EQ(outputs[s][t][i], reference[s][t][i])
+                            << "isa " << tensor::bnnIsaName(isa)
+                            << " slot " << s << " step " << t
+                            << " element " << i;
+            }
         }
     }
     tensor::bnnSetIsa(tensor::bnnBestIsa());

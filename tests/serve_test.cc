@@ -486,6 +486,16 @@ TEST(ServeTest, MalformedRequestFailsItsOwnFutureOnly)
                      std::invalid_argument);
     }
 
+    // A NaN theta or deadline: rejected the same way.
+    for (const bool nan_theta : {true, false}) {
+        serve::Request poisoned;
+        poisoned.input = sequences[1];
+        (nan_theta ? poisoned.theta : poisoned.deadlineMs) =
+            std::numeric_limits<double>::quiet_NaN();
+        EXPECT_THROW(server.enqueue(std::move(poisoned)).get(),
+                     std::invalid_argument);
+    }
+
     serve::Request good;
     good.input = sequences[0];
     auto good_future = server.enqueue(std::move(good));
