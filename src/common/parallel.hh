@@ -4,9 +4,10 @@
  *
  * RnnNetwork::forwardBatch runs sequence chunks on it, or splits each
  * phase of a one-chunk batch's cell steps over it by neurons
- * (nn/batch_evaluator.hh); the servers drive their ticks on a private
- * one. A job's range is split into contiguous static chunks, one per
- * thread, and chunk i always runs on pool thread i.
+ * (nn/batch_evaluator.hh); nn::initNetwork fills a network's gates on
+ * the global one; the servers drive their ticks on a private one. A
+ * job's range is split into contiguous static chunks, one per thread,
+ * and chunk i always runs on pool thread i.
  */
 
 #ifndef NLFM_COMMON_PARALLEL_HH

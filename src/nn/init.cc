@@ -1,6 +1,10 @@
 #include "nn/init.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+
+#include "common/parallel.hh"
 
 namespace nlfm::nn
 {
@@ -42,16 +46,34 @@ initNetwork(RnnNetwork &network, Rng &rng, const InitOptions &options)
 {
     const CellDescriptor &desc =
         cellDescriptor(network.config().cellType);
-    for (const auto &inst : network.gateInstances()) {
-        Rng stream = rng.fork(inst.instanceId);
-        GateParams &params = network.gateParams(inst.instanceId);
-        const GateSpec &spec = desc.gates[inst.gate];
-        initGate(params, stream, options, spec.aux);
-        if (spec.biasBoost) {
-            for (auto &bias : params.bias)
-                bias = static_cast<float>(options.forgetBias);
+    const std::vector<GateInstance> &instances = network.gateInstances();
+    // Rng::fork advances the parent, so the streams are forked here, in
+    // instance order, before any gate is filled: that order alone fixes
+    // every gate's weights and the parent state later forks draw from,
+    // whichever thread fills which gate.
+    std::vector<Rng> streams;
+    streams.reserve(instances.size());
+    for (const auto &inst : instances)
+        streams.push_back(rng.fork(inst.instanceId));
+
+    // Gates differ in size (a layer-0 gate reads the network input), so
+    // each thread claims the next unfilled gate rather than a fixed share.
+    std::atomic<std::size_t> next{0};
+    const auto fill = [&](std::size_t, std::size_t) {
+        for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+             i < instances.size();
+             i = next.fetch_add(1, std::memory_order_relaxed)) {
+            GateParams &params = network.gateParams(instances[i].instanceId);
+            const GateSpec &spec = desc.gates[instances[i].gate];
+            initGate(params, streams[i], options, spec.aux);
+            if (spec.biasBoost) {
+                for (auto &bias : params.bias)
+                    bias = static_cast<float>(options.forgetBias);
+            }
         }
-    }
+    };
+    ThreadPool &pool = ThreadPool::global();
+    pool.run(std::min(pool.threadCount(), instances.size()), fill);
 }
 
 } // namespace nlfm::nn

@@ -59,6 +59,15 @@ void initGate(GateParams &params, Rng &rng, const InitOptions &options,
  * Initialize every gate of the network; deterministic given the seed of
  * @p rng (each gate uses a forked stream so topology changes do not
  * perturb sibling gates).
+ *
+ * The streams are forked from @p rng on the calling thread in instance
+ * order, so every weight, bias and peephole, and the state @p rng is
+ * left in, are the same for any pool size. The gates are then filled
+ * concurrently on ThreadPool::global(), each thread claiming the next
+ * unfilled gate. Pool contract, as for RnnNetwork::forwardBatch's
+ * default pool: a call must not run inside a job of
+ * ThreadPool::global(), nor concurrently with another run on it;
+ * ThreadPool::run asserts against both.
  */
 void initNetwork(RnnNetwork &network, Rng &rng,
                  const InitOptions &options = {});

@@ -1,12 +1,16 @@
 /**
  * @file
  * Tests for layers, the deep network (gate-instance enumeration,
- * bidirectional semantics) and the binarized mirror.
+ * weight init, bidirectional semantics) and the binarized mirror.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <string>
 
 #include "common/rng.hh"
 #include "nn/binarized.hh"
@@ -104,6 +108,79 @@ TEST(RnnNetworkTest, GateParamsMatchInstanceShapes)
         EXPECT_EQ(params.neurons(), inst.neurons);
         EXPECT_EQ(params.xSize(), inst.xSize);
         EXPECT_EQ(params.hSize(), inst.hSize);
+    }
+}
+
+// ---------------------------------------------------------------- init
+
+bool
+sameBits(std::span<const float> a, std::span<const float> b)
+{
+    return std::ranges::equal(a, b, [](float x, float y) {
+        return std::bit_cast<std::uint32_t>(x) ==
+               std::bit_cast<std::uint32_t>(y);
+    });
+}
+
+TEST(RnnNetworkTest, InitFillsEachGateFromItsOwnStream)
+{
+    // initNetwork fills gates concurrently on the global pool. What keeps
+    // every weight independent of the thread count is how each gate's
+    // stream is derived: rng.fork(instanceId) in instance order, before
+    // any gate is filled. The reference is that recipe, run serially.
+    // Under ThreadSanitizer a fill takes milliseconds, long enough for
+    // pool workers to claim some of the gates, so the race check sees
+    // concurrent fills.
+    RnnConfig gru = smallConfig(CellType::Gru, false, 3);
+    gru.inputSize = 24;
+    gru.hiddenSize = 40;
+    RnnConfig lstm = smallConfig(CellType::Lstm, false, 2);
+    lstm.hiddenSize = 32;
+    RnnConfig bigru = smallConfig(CellType::Gru, true, 2);
+    bigru.hiddenSize = 32;
+    InitOptions options;
+    options.gain = 1.25;
+    options.forgetBias = 1.5;
+    options.magnitudeDispersion = 0.6;
+
+    for (const RnnConfig &config : {gru, lstm, bigru}) {
+        SCOPED_TRACE(cellTypeName(config.cellType) +
+                     std::string(config.bidirectional ? " bidirectional"
+                                                      : ""));
+        RnnNetwork network(config);
+        Rng rng(2027);
+        initNetwork(network, rng, options);
+
+        RnnNetwork reference(config);
+        Rng reference_rng(2027);
+        const CellDescriptor &desc = cellDescriptor(config.cellType);
+        for (const auto &inst : reference.gateInstances()) {
+            Rng stream = reference_rng.fork(inst.instanceId);
+            GateParams &params = reference.gateParams(inst.instanceId);
+            const GateSpec &spec = desc.gates[inst.gate];
+            initGate(params, stream, options, spec.aux);
+            if (spec.biasBoost)
+                std::fill(params.bias.begin(), params.bias.end(),
+                          static_cast<float>(options.forgetBias));
+        }
+
+        std::size_t peephole_floats = 0;
+        for (const auto &inst : network.gateInstances()) {
+            const GateParams &got = network.gateParams(inst.instanceId);
+            const GateParams &want = reference.gateParams(inst.instanceId);
+            EXPECT_TRUE(sameBits(got.wx.data(), want.wx.data()))
+                << "wx of gate " << inst.instanceId;
+            EXPECT_TRUE(sameBits(got.wh.data(), want.wh.data()))
+                << "wh of gate " << inst.instanceId;
+            EXPECT_TRUE(sameBits(got.bias, want.bias))
+                << "bias of gate " << inst.instanceId;
+            EXPECT_TRUE(sameBits(got.peephole, want.peephole))
+                << "peephole of gate " << inst.instanceId;
+            peephole_floats += got.peephole.size();
+        }
+        EXPECT_EQ(peephole_floats > 0,
+                  config.cellType == CellType::Lstm);
+        EXPECT_EQ(rng.next(), reference_rng.next());
     }
 }
 
