@@ -5,7 +5,7 @@
 #include "common/logging.hh"
 #include "nn/activations.hh"
 #include "nn/cell_descriptor.hh"
-#include "tensor/vector_ops.hh"
+#include "tensor/batch.hh"
 
 namespace nlfm::nn::train
 {
@@ -181,36 +181,32 @@ BpttTrainer::forwardCached(const Sequence &inputs, std::size_t label,
                            std::vector<float> &probs)
 {
     const RnnConfig &cfg = network_.config();
-    const std::size_t steps = inputs.size();
-    const std::size_t hidden = cfg.hiddenSize;
-    nlfm_assert(steps > 0, "empty training sequence");
+    nlfm_assert(!inputs.empty(), "empty training sequence");
     caches.assign(cfg.layers, LayerCache{});
 
-    Sequence current = inputs;
-
+    // Each layer steps its cell as RnnNetwork::forward does, on a
+    // one-row panel, and keeps what every step leaves in the state.
+    DirectBatchEvaluator eval;
+    const auto keep = [](Sequence &rows, const tensor::Matrix &panel) {
+        if (!panel.empty())
+            rows.emplace_back(panel.row(0).begin(), panel.row(0).end());
+    };
     for (std::size_t l = 0; l < cfg.layers; ++l) {
         LayerCache &cache = caches[l];
-        cache.x = current;
-        cache.h.assign(steps, std::vector<float>(hidden, 0.f));
-        cache.aux.assign(steps, std::vector<float>(hidden, 0.f));
+        cache.x = l == 0 ? inputs : caches[l - 1].h;
         RnnCell &cell = network_.layer(l).cell(0);
-        const std::size_t n_gates = cell.gateCount();
-        for (std::size_t g = 0; g < n_gates; ++g)
-            cache.gate[g].assign(steps, std::vector<float>(hidden, 0.f));
-        if (kernel_.usesCellState())
-            cache.c.assign(steps, std::vector<float>(hidden, 0.f));
-
-        std::vector<float> h_prev(hidden, 0.f);
-        std::vector<float> c_prev(hidden, 0.f);
-
-        for (std::size_t t = 0; t < steps; ++t) {
-            kernel_.forwardStep(cell, cache.x[t], h_prev, c_prev, cache,
-                                t);
-            h_prev = cache.h[t];
-            if (kernel_.usesCellState())
-                c_prev = cache.c[t];
+        const tensor::Batch x = tensor::Batch::pack({&cache.x, 1},
+                                                    cell.xSize());
+        BatchCellState state = cell.makeBatchState(1);
+        for (std::size_t t = 0; t < x.maxSteps(); ++t) {
+            cell.stepBatch(x.panel(t), x.activeRows(t), 0, state, eval);
+            keep(cache.h, state.h);
+            if (!state.extra.empty())
+                keep(cache.c, state.extra[0]);
+            for (std::size_t g = 0; g < cell.gateCount(); ++g)
+                keep(cache.preact[g], state.preact[g]);
+            keep(cache.scratch, state.scratch);
         }
-        current = cache.h;
     }
 
     // Head + cross-entropy on the final timestep.
@@ -255,6 +251,7 @@ BpttTrainer::backward(const std::vector<LayerCache> &caches,
         const std::size_t x_size = cache.x.front().size();
         Sequence d_x(steps, std::vector<float>(x_size, 0.f));
 
+        std::vector<float> dh(hidden);
         std::vector<float> dh_next(hidden, 0.f);
         std::vector<float> dc_next(hidden, 0.f);
         std::vector<float> da[4];
@@ -264,7 +261,6 @@ BpttTrainer::backward(const std::vector<LayerCache> &caches,
         for (std::size_t t = steps; t-- > 0;) {
             const auto &x = cache.x[t];
 
-            std::vector<float> dh(hidden);
             for (std::size_t n = 0; n < hidden; ++n)
                 dh[n] = d_out[t][n] + dh_next[n];
             std::fill(dh_next.begin(), dh_next.end(), 0.f);

@@ -7,8 +7,13 @@
  * per cell family reports *genuine* task accuracy rather than
  * baseline-drift. The trainer supports unidirectional stacks of any
  * registered cell family (LSTM without peepholes) with a softmax head
- * on the final timestep, optimized with Adam; the per-family gradient
- * math lives in the descriptor-selected kernels of nn/train_kernels.hh.
+ * on the final timestep, optimized with Adam. Its forward pass is the
+ * inference one: each layer's cell steps through its own
+ * RnnCell::stepBatch on a one-row panel with a DirectBatchEvaluator, so
+ * a training loss equals the one computed from RnnNetwork::forward's
+ * output, bit for bit, in every build. Only the backward step is
+ * per-family code: the descriptor-selected kernels of
+ * nn/train_kernels.hh.
  */
 
 #ifndef NLFM_NN_TRAIN_HH
@@ -155,6 +160,7 @@ class BpttTrainer
     ParameterSet &parameters() { return params_; }
 
   private:
+    /** Step every layer over @p inputs, filling @p caches; the loss. */
     double forwardCached(const Sequence &inputs, std::size_t label,
                          std::vector<LayerCache> &caches,
                          std::vector<float> &probs);

@@ -1,15 +1,15 @@
 /**
  * @file
- * Per-family BPTT kernels behind the BpttTrainer.
+ * Per-family BPTT backward steps behind the BpttTrainer.
  *
  * The trainer (nn/train.cc) owns everything cell-agnostic: parameter
- * registration, the timestep loops, the generic per-gate weight-grad
- * scatter, head/Adam plumbing. The per-family math — how one forward
- * step fills the activation cache, and how one backward step turns
- * dL/dh_t into per-gate pre-activation gradients — lives in a
- * CellBpttKernel selected through the cell's descriptor
- * (CellDescriptor::bpttKernel), so adding a trainable cell family never
- * touches the trainer itself.
+ * registration, the forward pass (each layer stepped through the
+ * cell's own RnnCell::stepBatch), the timestep loops, the generic
+ * per-gate weight-grad scatter, head/Adam plumbing. The per-family
+ * math — how one backward step turns dL/dh_t into per-gate
+ * pre-activation gradients — lives in a CellBpttKernel selected
+ * through the cell's descriptor (CellDescriptor::bpttKernel), so
+ * adding a trainable cell family never touches the trainer itself.
  */
 
 #ifndef NLFM_NN_TRAIN_KERNELS_HH
@@ -23,36 +23,38 @@
 namespace nlfm::nn::train
 {
 
-/** Per-layer forward activations cached for the backward pass. */
+/**
+ * Per-layer forward state cached for the backward pass: what each
+ * timestep's stepBatch left in its one-row BatchCellState.
+ */
 struct LayerCache
 {
     // Inputs to this layer, one vector per timestep.
     Sequence x;
     // Hidden states h_t, one per timestep.
     Sequence h;
-    // Carried cell state c_t per timestep (LSTM); empty for families
-    // whose only recurrent state is h (usesCellState() == false).
+    // Cell state c_t per timestep (BatchCellState::extra[0], LSTM);
+    // empty for families whose only recurrent state is h.
     Sequence c;
-    // Gate activations per timestep (up to four gates).
-    Sequence gate[4];
-    // Family-specific auxiliary activation per timestep: tanh(c_t) for
-    // LSTM, the modulated recurrent operand (r.h_prev / a.h_prev) for
-    // GRU and BRC.
-    Sequence aux;
+    // Gate pre-activations per timestep (up to four gates), bias not
+    // added.
+    Sequence preact[4];
+    // The modulated recurrent operand per timestep
+    // (BatchCellState::scratch): r.h_prev for GRU, a.h_prev for BRC;
+    // empty for the other families.
+    Sequence scratch;
 };
 
 /**
  * The per-family half of BPTT. Kernels are stateless singletons; all
  * step state travels through the cache and the caller-owned carry
- * vectors, and every expression mirrors the cell's stepBatch.
+ * vectors. A backward step recomputes its gate activations from the
+ * cached pre-activations with the cell epilogue's own expressions.
  */
 class CellBpttKernel
 {
   public:
     virtual ~CellBpttKernel() = default;
-
-    /** True when LayerCache::c carries a per-step cell state. */
-    virtual bool usesCellState() const { return false; }
 
     /**
      * Family-specific trainability guards, asserted at trainer
@@ -63,16 +65,6 @@ class CellBpttKernel
     {
         (void)config;
     }
-
-    /**
-     * Compute step @p t activations from @p x and the previous state,
-     * filling cache.gate[g][t], cache.aux[t], cache.h[t] (and
-     * cache.c[t] when usesCellState()).
-     */
-    virtual void forwardStep(RnnCell &cell, const std::vector<float> &x,
-                             const std::vector<float> &h_prev,
-                             const std::vector<float> &c_prev,
-                             LayerCache &cache, std::size_t t) const = 0;
 
     /**
      * One backward timestep: consume @p dh = dL/dh_t (and the running

@@ -36,21 +36,16 @@ RequestQueue::push(QueuedRequest &&item)
     if (closed_)
         return false;
     items_.push_back(std::move(item));
-    lock.unlock();
-    notEmpty_.notify_one();
     return true;
 }
 
 bool
 RequestQueue::tryPush(QueuedRequest &&item)
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (closed_ || items_.size() >= capacity_)
-            return false;
-        items_.push_back(std::move(item));
-    }
-    notEmpty_.notify_one();
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (closed_ || items_.size() >= capacity_)
+        return false;
+    items_.push_back(std::move(item));
     return true;
 }
 
@@ -93,15 +88,6 @@ RequestQueue::stepsAhead(Clock::time_point deadline) const
     return steps;
 }
 
-bool
-RequestQueue::waitNonEmpty(std::chrono::milliseconds timeout)
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    notEmpty_.wait_for(lock, timeout,
-                       [&] { return closed_ || !items_.empty(); });
-    return !items_.empty();
-}
-
 void
 RequestQueue::close()
 {
@@ -110,7 +96,6 @@ RequestQueue::close()
         closed_ = true;
     }
     notFull_.notify_all();
-    notEmpty_.notify_all();
 }
 
 bool

@@ -81,10 +81,6 @@ class RequestQueue
     /// the predictive-shedding estimate (serve::Admission).
     std::size_t stepsAhead(Clock::time_point deadline) const;
 
-    /// Block until the queue is non-empty, closed, or @p timeout elapses.
-    /// Returns true when an item is (probably) available.
-    bool waitNonEmpty(std::chrono::milliseconds timeout);
-
     /// Close the queue: pending and future pushes fail, pops drain what
     /// remains. Idempotent.
     void close();
@@ -97,7 +93,6 @@ class RequestQueue
     const QueuePolicy policy_;
     mutable std::mutex mutex_;
     std::condition_variable notFull_;
-    std::condition_variable notEmpty_;
     std::deque<QueuedRequest> items_;
     bool closed_ = false;
 };

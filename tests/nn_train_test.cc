@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hh"
+#include "nn/activations.hh"
+#include "nn/cell_descriptor.hh"
 #include "nn/init.hh"
 #include "nn/train.hh"
 #include "workloads/tasks.hh"
@@ -259,6 +262,51 @@ TEST(TrainingTest, LossDecreasesOnFixedBatch)
         trainer.trainBatch(batch);
     // Overfitting a fixed 8-example batch must cut the loss sharply.
     EXPECT_LT(trainer.evaluateLoss(batch), initial * 0.35);
+}
+
+TEST(TrainingTest, LossIsInferenceForwardLoss)
+{
+    // The trainer's loss is the cross-entropy of the inference forward's
+    // final output, bit for bit, in every build: an -O0 build contracts
+    // no multiply-add, so this holds there only if training steps the
+    // cells' own code.
+    std::uint64_t seed = 61;
+    for (const CellType type :
+         {CellType::Lstm, CellType::Gru, CellType::RateRnn, CellType::Brc})
+        for (const std::size_t layers : {1, 2})
+            for (const std::size_t hidden : {4, 37}) {
+                RnnConfig config = trainableConfig(type, layers);
+                config.inputSize = 16;
+                config.hiddenSize = hidden;
+                RnnNetwork network(config);
+                Rng rng(seed++);
+                initNetwork(network, rng);
+                SoftmaxHead head(config.outputSize(), 3, rng);
+                BpttTrainer trainer(network, head, TrainConfig{});
+
+                std::size_t differing = 0;
+                for (std::size_t i = 0; i < 20; ++i) {
+                    const Sequence seq =
+                        randomSequence(rng, 24, config.inputSize);
+                    const std::size_t label = i % head.classes();
+                    const std::vector<LabeledSequence> example = {
+                        {seq, label}};
+                    const double loss = trainer.evaluateLoss(example);
+
+                    std::vector<float> scores(head.classes());
+                    std::vector<float> probs(head.classes());
+                    head.logits(network.forwardBaseline(seq).back(),
+                                scores);
+                    softmax(scores, probs);
+                    const double expected = -std::log(std::max(
+                        static_cast<double>(probs[label]), 1e-12));
+                    if (std::memcmp(&loss, &expected, sizeof loss) != 0)
+                        ++differing;
+                }
+                EXPECT_EQ(differing, 0u)
+                    << cellTypeName(type) << " layers " << layers
+                    << " hidden " << hidden;
+            }
 }
 
 TEST(TrainerGuardsTest, RejectsBidirectional)

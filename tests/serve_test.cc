@@ -151,7 +151,7 @@ TEST(RequestQueueTest, ConcurrentProducersPreservePerProducerFifo)
     while (total < kProducers * kPerProducer) {
         auto item = queue.tryPop();
         if (!item) {
-            queue.waitNonEmpty(std::chrono::milliseconds(1));
+            std::this_thread::yield();
             continue;
         }
         popped[item->id / kPerProducer].push_back(item->id %
